@@ -23,10 +23,11 @@
 #![warn(missing_docs)]
 
 use spray::{Kernel, ReducerView};
-use std::ops::{Add, Mul};
+use std::ops::{Add, Mul, Range};
 
 pub mod conv2d;
 mod kernels;
+use kernels::tap_passes;
 pub use kernels::{backprop3_seq, backprop_seq, forward3_seq, forward_seq, par_forward};
 
 /// Minimal numeric bound for convolution elements: a spray-reducible,
@@ -88,6 +89,17 @@ impl<T: ConvScalar> Kernel<T> for Backprop3Kernel<'_, T> {
         view.apply(i, self.w.wc * x);
         view.apply(i + 1, self.w.wr * x);
     }
+
+    /// Tap passes over 512-item tiles: right, centre, then left, one
+    /// [`ReducerView::apply_run`] each. Every output keeps the per-item
+    /// combine order, so results are bit-identical within a thread and
+    /// the apply count is unchanged (3 per item).
+    fn items<V: ReducerView<T>>(&self, view: &mut V, range: Range<usize>) {
+        let Stencil3 { wl, wc, wr } = self.w;
+        tap_passes(self.inp, range, &[wl, wc, wr], |start, run| {
+            view.apply_run(start, run)
+        });
+    }
 }
 
 /// Back-propagation scatter for a general odd-width stencil of radius
@@ -107,6 +119,15 @@ impl<T: ConvScalar> Kernel<T> for BackpropKernel<'_, T> {
         for (k, &w) in self.weights.iter().enumerate() {
             view.apply(i + k - r, w * x);
         }
+    }
+
+    /// One [`ReducerView::apply_run`] per tap per 512-item tile, from tap
+    /// `+R` down to tap `-R`, keeping each output's per-item combine
+    /// order.
+    fn items<V: ReducerView<T>>(&self, view: &mut V, range: Range<usize>) {
+        tap_passes(self.inp, range, self.weights, |start, run| {
+            view.apply_run(start, run)
+        });
     }
 }
 
@@ -194,6 +215,63 @@ mod tests {
         );
         for (got, want) in out.iter().zip(&expected) {
             assert!((got - want).abs() < 1e-9);
+        }
+    }
+
+    /// Forwards only `item`, so the executor runs the default per-item
+    /// loop instead of the kernel's `items` override.
+    struct PerItem<'a, K>(&'a K);
+
+    impl<T: spray::Element, K: Kernel<T>> Kernel<T> for PerItem<'_, K> {
+        fn item<V: ReducerView<T>>(&self, view: &mut V, i: usize) {
+            self.0.item(view, i);
+        }
+    }
+
+    #[test]
+    fn general_kernel_items_match_per_item() {
+        let w = [0.1, 0.3, 0.45, 0.2, 0.15];
+        for n in [5usize, 6, 515, 1030, 3000] {
+            let inp: Vec<f64> = (0..n)
+                .map(|i| ((i * 31) % 97) as f64 / 97.0 - 0.4)
+                .collect();
+            let mut expected = vec![0.0f64; n];
+            backprop_seq(&mut expected, &inp, &w);
+            let kernel = BackpropKernel {
+                inp: &inp,
+                weights: &w,
+            };
+            for threads in [1, 3] {
+                let pool = ThreadPool::new(threads);
+                for strategy in Strategy::competitive(64) {
+                    for schedule in [Schedule::default(), Schedule::Dynamic { chunk: 37 }] {
+                        let mut tiled = vec![0.0f64; n];
+                        reduce_strategy::<f64, Sum, _>(
+                            strategy,
+                            &pool,
+                            &mut tiled,
+                            2..n - 2,
+                            schedule,
+                            &kernel,
+                        );
+                        let mut per_item = vec![0.0f64; n];
+                        reduce_strategy::<f64, Sum, _>(
+                            strategy,
+                            &pool,
+                            &mut per_item,
+                            2..n - 2,
+                            schedule,
+                            &PerItem(&kernel),
+                        );
+                        if threads == 1 {
+                            assert_eq!(tiled, per_item, "{} n={n}", strategy.label());
+                        }
+                        for (got, want) in tiled.iter().zip(&expected) {
+                            assert!((got - want).abs() < 1e-12, "{} n={n}", strategy.label());
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -901,6 +901,29 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> BlockView<T, O, W> {
     }
 }
 
+/// Merges one in-block stretch of an `apply_run` into the view's cached
+/// block storage: `dst[k] = O::combine(dst[k], vals[k])`.
+///
+/// Under `verify` the stretch is one widened race window, the run form of
+/// `SharedSlice::combine`'s load/perturb/store: the stretch is read and
+/// combined, the `SharedWrite` hook is crossed once (`idx` = the
+/// stretch's first element), and the combined stretch is written back.
+///
+/// # Safety
+/// `dst` must be valid for `vals.len()` elements that this thread may
+/// write exclusively (the last-block cache invariant).
+#[inline(always)]
+unsafe fn merge_stretch<T: Element, O: ReduceOp<T>>(dst: *mut T, vals: &[T], first: usize) {
+    if cfg!(feature = "verify") {
+        let mut cur = std::slice::from_raw_parts(dst, vals.len()).to_vec();
+        kernels::merge_slices::<T, O>(&mut cur, vals);
+        ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, first as u64);
+        std::ptr::copy_nonoverlapping(cur.as_ptr(), dst, vals.len());
+    } else {
+        kernels::merge_into::<T, O>(dst, vals.as_ptr(), vals.len());
+    }
+}
+
 impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O, W> {
     #[inline(always)]
     fn apply(&mut self, i: usize, v: T) {
@@ -934,11 +957,8 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
     /// block's base pointer once (via the regular slow path, which also
     /// installs the last-block cache), and stream the in-block stretch
     /// through the merge kernel instead of re-deciding ownership per
-    /// element.
-    ///
-    /// Compiled out under `verify`: the per-element default preserves the
-    /// exact `SharedWrite` perturbation-hook sequence of the seed.
-    #[cfg(not(feature = "verify"))]
+    /// element. Verify builds run this same path, with one `SharedWrite`
+    /// race window per stretch (see `merge_stretch`).
     fn apply_run(&mut self, start: usize, vals: &[T]) {
         // One up-front range check covers the whole run (the per-element
         // path re-checks per apply).
@@ -959,10 +979,10 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
                 // `0..=mask`, exclusively writable by this thread; the
                 // stretch stays inside block `b` by construction.
                 unsafe {
-                    kernels::merge_into::<T, O>(
+                    merge_stretch::<T, O>(
                         self.last_base.add(i & self.core.mask),
-                        vals.as_ptr().add(k),
-                        run_len,
+                        &vals[k..k + run_len],
+                        i,
                     );
                 }
             } else {
@@ -971,10 +991,10 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
                     // SAFETY: as above; the remaining `run_len - 1`
                     // elements stay inside the freshly cached block.
                     unsafe {
-                        kernels::merge_into::<T, O>(
+                        merge_stretch::<T, O>(
                             self.last_base.add((i + 1) & self.core.mask),
-                            vals.as_ptr().add(k + 1),
-                            run_len - 1,
+                            &vals[k + 1..k + run_len],
+                            i + 1,
                         );
                     }
                 } else {

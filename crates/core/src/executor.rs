@@ -864,11 +864,7 @@ where
         red,
         range,
         schedule,
-        |view, chunk| {
-            for i in chunk {
-                kernel.item(view, i);
-            }
-        },
+        |view, chunk| kernel.items(view, chunk),
         Some(&board),
     );
     let counters = red.telemetry();

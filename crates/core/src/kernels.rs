@@ -7,9 +7,12 @@
 //! `#pragma omp simd aligned`; this module is the Rust analogue, with
 //! three tiers:
 //!
-//! * **Scalar-unrolled (default, stable).** Straight-line 8-wide bodies
-//!   with no loop-carried dependency, written so LLVM's auto-vectorizer
-//!   turns them into full-width vector code on any stable toolchain.
+//! * **Scalar (default, stable).** Plain loops over `&mut [T]`/`&[T]`
+//!   slices built from the kernel's pointers. The slice types tell LLVM
+//!   the two sides do not alias, so its auto-vectorizer emits vector
+//!   code on any stable toolchain; over raw pointers it must assume each
+//!   store may feed the next load and stays scalar (DESIGN.md has the
+//!   measurement).
 //! * **`std::simd` (nightly, `--features simd`).** Explicit
 //!   `portable_simd` vectors, dispatched per concrete element type. The
 //!   dispatch is a monomorphization-time `TypeId` comparison — the branch
@@ -41,11 +44,7 @@
 //! misalignment unsound.
 
 use crate::elem::{Element, ReduceOp};
-
-/// Unroll width of the scalar tier. Eight 64-bit lanes is one 512-bit
-/// vector or two 256-bit halves — wide enough for full-width
-/// auto-vectorization, small enough that the tail loop stays cheap.
-pub const UNROLL: usize = 8;
+use std::mem::MaybeUninit;
 
 #[inline(always)]
 fn debug_assert_elem_aligned<T>(ptr: *const T) {
@@ -69,30 +68,12 @@ pub unsafe fn merge_into<T: Element, O: ReduceOp<T>>(dst: *mut T, src: *const T,
     if simd::merge::<T, O>(dst, src, n) {
         return;
     }
-    let mut i = 0;
-    while i + UNROLL <= n {
-        // Eight independent combines: no loop-carried dependency, so the
-        // auto-vectorizer emits one (or two) full-width vector ops.
-        macro_rules! lane {
-            ($k:expr) => {{
-                let d = dst.add(i + $k);
-                *d = O::combine(*d, *src.add(i + $k));
-            }};
-        }
-        lane!(0);
-        lane!(1);
-        lane!(2);
-        lane!(3);
-        lane!(4);
-        lane!(5);
-        lane!(6);
-        lane!(7);
-        i += UNROLL;
-    }
-    while i < n {
-        let d = dst.add(i);
-        *d = O::combine(*d, *src.add(i));
-        i += 1;
+    // Slices, not pointer arithmetic: the no-alias facts are what let
+    // LLVM vectorize (see the module docs).
+    let dst = std::slice::from_raw_parts_mut(dst, n);
+    let src = std::slice::from_raw_parts(src, n);
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = O::combine(*d, s);
     }
 }
 
@@ -103,8 +84,9 @@ pub unsafe fn merge_into<T: Element, O: ReduceOp<T>>(dst: *mut T, src: *const T,
 /// unaligned fill; the arena refills its existing aligned slab instead.
 ///
 /// # Safety
-/// `dst` must be valid for `n` elements, element-aligned, and not
-/// concurrently accessed by another thread.
+/// `dst` must be valid for writes of `n` elements (they may be
+/// uninitialized), element-aligned, and not concurrently accessed by
+/// another thread.
 #[inline]
 pub unsafe fn refill_into<T: Element, O: ReduceOp<T>>(dst: *mut T, n: usize) {
     debug_assert_elem_aligned(dst);
@@ -112,10 +94,10 @@ pub unsafe fn refill_into<T: Element, O: ReduceOp<T>>(dst: *mut T, n: usize) {
     if simd::refill::<T, O>(dst, n) {
         return;
     }
-    let id = O::identity();
-    for i in 0..n {
-        *dst.add(i) = id;
-    }
+    // `MaybeUninit`: fresh arena slabs are refilled before their first
+    // read, so no `&mut [T]` may be formed over them.
+    std::slice::from_raw_parts_mut(dst.cast::<MaybeUninit<T>>(), n)
+        .fill(MaybeUninit::new(O::identity()));
 }
 
 /// Fused merge-then-refill: `dst[i] = O::combine(dst[i], src[i])` and
@@ -137,34 +119,10 @@ pub unsafe fn merge_refill_into<T: Element, O: ReduceOp<T>>(dst: *mut T, src: *m
         return;
     }
     let id = O::identity();
-    let mut i = 0;
-    while i + UNROLL <= n {
-        macro_rules! lane {
-            ($k:expr) => {{
-                let s = src.add(i + $k);
-                let d = dst.add(i + $k);
-                let v = *s;
-                *s = id;
-                *d = O::combine(*d, v);
-            }};
-        }
-        lane!(0);
-        lane!(1);
-        lane!(2);
-        lane!(3);
-        lane!(4);
-        lane!(5);
-        lane!(6);
-        lane!(7);
-        i += UNROLL;
-    }
-    while i < n {
-        let s = src.add(i);
-        let d = dst.add(i);
-        let v = *s;
-        *s = id;
-        *d = O::combine(*d, v);
-        i += 1;
+    let dst = std::slice::from_raw_parts_mut(dst, n);
+    let src = std::slice::from_raw_parts_mut(src, n);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = O::combine(*d, std::mem::replace(s, id));
     }
 }
 
@@ -213,7 +171,7 @@ pub fn refill_slice<T: Element, O: ReduceOp<T>>(dst: &mut [T]) {
 
 /// Explicit `portable_simd` tier. Each entry point returns `true` when it
 /// handled the call (the element type is one of the built-in numerics),
-/// `false` to fall back to the scalar-unrolled tier; the `TypeId`
+/// `false` to fall back to the scalar tier; the `TypeId`
 /// comparisons resolve at monomorphization time.
 #[cfg(feature = "simd")]
 mod simd {
@@ -440,90 +398,67 @@ mod tests {
     use super::*;
     use crate::elem::{Max, Min, Prod, Sum};
 
-    fn seq_merge<T: Element, O: ReduceOp<T>>(dst: &mut [T], src: &[T]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = O::combine(*d, s);
+    /// All three kernels (and the safe slice wrappers) against a
+    /// per-element reference, at every length 0..=70 and at
+    /// element-aligned but vector-misaligned offsets into both sides.
+    /// Elements outside the window must stay untouched.
+    fn check_kernels<T: Element, O: ReduceOp<T>>(gen: impl Fn(usize) -> T) {
+        for n in 0..=70 {
+            for (doff, soff) in [(0, 0), (1, 3), (3, 1)] {
+                let dst0: Vec<T> = (0..n + doff + 2).map(|i| gen(3 * i + 2)).collect();
+                let src0: Vec<T> = (0..n + soff + 2).map(|i| gen(7 * i + 1)).collect();
+                let want: Vec<T> = dst0[doff..doff + n]
+                    .iter()
+                    .zip(&src0[soff..soff + n])
+                    .map(|(&d, &s)| O::combine(d, s))
+                    .collect();
+                let window = |v: &[T], off: usize, expect: &[T], orig: &[T]| {
+                    assert_eq!(&v[off..off + n], expect, "n={n} off={off}");
+                    assert_eq!(&v[..off], &orig[..off], "n={n}: prefix clobbered");
+                    assert_eq!(&v[off + n..], &orig[off + n..], "n={n}: suffix clobbered");
+                };
+
+                let mut dst = dst0.clone();
+                merge_slices::<T, O>(&mut dst[doff..doff + n], &src0[soff..soff + n]);
+                window(&dst, doff, &want, &dst0);
+
+                let mut dst = dst0.clone();
+                let mut src = src0.clone();
+                // SAFETY: as above; `src` is exclusively borrowed too.
+                unsafe {
+                    merge_refill_into::<T, O>(
+                        dst.as_mut_ptr().add(doff),
+                        src.as_mut_ptr().add(soff),
+                        n,
+                    )
+                };
+                window(&dst, doff, &want, &dst0);
+                window(&src, soff, &vec![O::identity(); n], &src0);
+
+                let mut dst = dst0.clone();
+                refill_slice::<T, O>(&mut dst[doff..doff + n]);
+                window(&dst, doff, &vec![O::identity(); n], &dst0);
+            }
         }
     }
 
     #[test]
-    fn merge_matches_sequential_all_lengths() {
-        // Every length from empty through several unroll widths plus odd
-        // tails, so both the wide loop and the scalar tail are covered.
-        for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 64, 130] {
-            let src: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 3.0).collect();
-            let mut a: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            let mut b = a.clone();
-            seq_merge::<f64, Sum>(&mut a, &src);
-            merge_slices::<f64, Sum>(&mut b, &src);
-            assert_eq!(a, b, "n={n}");
-        }
-    }
-
-    #[test]
-    fn merge_all_ops_integer_exact() {
-        let n = 37;
-        let src: Vec<i64> = (0..n).map(|i| (i as i64 * 7919) % 101 - 50).collect();
-        macro_rules! check {
-            ($op:ty) => {{
-                let mut a: Vec<i64> = (0..n).map(|i| i as i64 - 10).collect();
-                let mut b = a.clone();
-                seq_merge::<i64, $op>(&mut a, &src);
-                merge_slices::<i64, $op>(&mut b, &src);
-                assert_eq!(a, b, stringify!($op));
+    fn kernels_match_reference_at_misaligned_offsets() {
+        macro_rules! every_op {
+            ($t:ty, $gen:expr) => {{
+                check_kernels::<$t, Sum>($gen);
+                check_kernels::<$t, Prod>($gen);
+                check_kernels::<$t, Min>($gen);
+                check_kernels::<$t, Max>($gen);
             }};
         }
-        check!(Sum);
-        check!(Prod);
-        check!(Min);
-        check!(Max);
-    }
-
-    #[test]
-    fn merge_all_elem_types() {
-        macro_rules! check {
-            ($t:ty, $conv:expr) => {{
-                let n = 21;
-                let conv = $conv;
-                let src: Vec<$t> = (0..n).map(|i| conv(i + 1)).collect();
-                let mut a: Vec<$t> = (0..n).map(conv).collect();
-                let mut b = a.clone();
-                seq_merge::<$t, Sum>(&mut a, &src);
-                merge_slices::<$t, Sum>(&mut b, &src);
-                assert_eq!(a, b, stringify!($t));
-            }};
-        }
-        check!(f32, |i: usize| i as f32 * 0.25);
-        check!(f64, |i: usize| i as f64 * 0.25);
-        check!(i32, |i: usize| i as i32 - 5);
-        check!(i64, |i: usize| i as i64 - 5);
-        check!(u32, |i: usize| i as u32);
-        check!(u64, |i: usize| i as u64);
-        check!(usize, |i: usize| i);
-    }
-
-    #[test]
-    fn refill_writes_identity() {
-        let mut v = vec![3.25f64; 19];
-        refill_slice::<f64, Sum>(&mut v);
-        assert!(v.iter().all(|&x| x == 0.0));
-        let mut v = vec![0i32; 9];
-        refill_slice::<i32, Min>(&mut v);
-        assert!(v.iter().all(|&x| x == i32::MAX));
-    }
-
-    #[test]
-    fn fused_merge_refill_merges_and_resets() {
-        for n in [1usize, 8, 13, 32, 65] {
-            let mut dst: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            let mut src: Vec<f64> = (0..n).map(|i| 100.0 + i as f64).collect();
-            let mut expect = dst.clone();
-            seq_merge::<f64, Sum>(&mut expect, &src);
-            // SAFETY: disjoint, valid, exclusively borrowed slices.
-            unsafe { merge_refill_into::<f64, Sum>(dst.as_mut_ptr(), src.as_mut_ptr(), n) };
-            assert_eq!(dst, expect, "n={n}");
-            assert!(src.iter().all(|&x| x == 0.0), "n={n}");
-        }
+        every_op!(f32, |i| (i % 17) as f32 * 0.75 - 4.0);
+        every_op!(f64, |i| (i % 19) as f64 * 0.375 - 3.0);
+        every_op!(i32, |i| (i % 23) as i32 - 11);
+        every_op!(i64, |i| (i as i64 * 7919) % 101 - 50);
+        every_op!(u32, |i| (i as u32).wrapping_mul(0x9E37_79B9));
+        every_op!(u64, |i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        every_op!(usize, |i| i % 29);
     }
 
     #[test]

@@ -228,6 +228,22 @@ impl std::str::FromStr for Strategy {
 pub trait Kernel<T: crate::Element>: Sync {
     /// Executes iteration `i`, contributing updates through `view`.
     fn item<V: ReducerView<T>>(&self, view: &mut V, i: usize);
+
+    /// Executes every iteration of one schedule chunk. The executor calls
+    /// this once per chunk; the default is the per-item loop.
+    ///
+    /// Override it when consecutive iterations write consecutive indices
+    /// (stencils, banded scatters): the chunk can then be issued as a few
+    /// [`ReducerView::apply_run`] calls instead of one `apply` per update.
+    /// An override must make the same updates as the per-item loop, and
+    /// should keep each output's combine order so results stay
+    /// bit-identical within a thread.
+    #[inline]
+    fn items<V: ReducerView<T>>(&self, view: &mut V, range: Range<usize>) {
+        for i in range {
+            self.item(view, i);
+        }
+    }
 }
 
 /// Runs `kernel` over `range` on `pool`, reducing into `out` with the

@@ -56,6 +56,44 @@ impl Kernel<f64> for ScatterKernel {
     }
 }
 
+/// Deterministic stencil kernel that issues runs: iteration `i` adds one
+/// 3-wide [`ReducerView::apply_run`] at `i mod (n-2)` with seeded values.
+/// Consecutive iterations overlap like a convolution's back-propagation,
+/// and runs straddle block seams, so the batched block path (stretch
+/// split, cached-block merge, its `SharedWrite` window) runs under the
+/// schedule controller. The oracle picks it or [`ScatterKernel`] by seed
+/// ([`check_seed`]).
+pub struct StencilKernel {
+    /// Output array length (at least 3).
+    pub n: usize,
+    /// Stream seed.
+    pub seed: u64,
+}
+
+impl StencilKernel {
+    #[inline(always)]
+    fn pick(&self, i: usize) -> (usize, u64) {
+        (i % (self.n - 2), mix64(self.seed ^ i as u64))
+    }
+}
+
+impl Kernel<i64> for StencilKernel {
+    #[inline(always)]
+    fn item<V: ReducerView<i64>>(&self, view: &mut V, i: usize) {
+        let (start, h) = self.pick(i);
+        view.apply_run(start, &[1 + (h % 5) as i64, 2, 3 + ((h >> 8) % 3) as i64]);
+    }
+}
+
+impl Kernel<f64> for StencilKernel {
+    #[inline(always)]
+    fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
+        let (start, h) = self.pick(i);
+        let x = ((h % 1000) as f64).mul_add(1e-3, 1.0);
+        view.apply_run(start, &[0.25 * x, 0.5 * x, 0.25 * x]);
+    }
+}
+
 /// Which executor path produced a checked result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -162,17 +200,18 @@ pub struct OracleStats {
     pub reports: Vec<(String, Counters)>,
 }
 
-fn check_elem<T, CMP>(
+fn check_elem<T, K, CMP>(
     pool: &ThreadPool,
     cfg: &OracleCfg,
     seed: u64,
+    kernel: &K,
     elem: &'static str,
     same: CMP,
     stats: &mut OracleStats,
 ) -> Result<(), Box<Mismatch>>
 where
     T: crate::AtomicElement + fmt::Debug + Default + Copy,
-    ScatterKernel: Kernel<T>,
+    K: Kernel<T>,
     crate::Sum: crate::ReduceOp<T>,
     CMP: Fn(T, T) -> bool,
 {
@@ -181,7 +220,6 @@ where
     } else {
         Schedule::default()
     };
-    let kernel = ScatterKernel { n: cfg.n, seed };
     let mut want = vec![T::default(); cfg.n];
     reduce_seq::<T, Sum, _>(&mut want, 0..cfg.updates, |v, i| kernel.item(v, i));
 
@@ -205,7 +243,7 @@ where
     for &strategy in &cfg.strategies {
         let mut ex = RegionExecutor::<T, Sum>::new(strategy);
         let mut out = vec![T::default(); cfg.n];
-        let report = ex.run(pool, &mut out, 0..cfg.updates, schedule, &kernel);
+        let report = ex.run(pool, &mut out, 0..cfg.updates, schedule, kernel);
         stats.regions += 1;
         stats.reports.push((
             format!("{}/{elem}/unplanned", strategy.label()),
@@ -221,7 +259,7 @@ where
                 Mode::Replay(r)
             };
             let mut out = vec![T::default(); cfg.n];
-            let report = ex.run_planned(1, pool, &mut out, 0..cfg.updates, schedule, &kernel);
+            let report = ex.run_planned(1, pool, &mut out, 0..cfg.updates, schedule, kernel);
             stats.regions += 1;
             stats.reports.push((
                 format!("{}/{elem}/{mode}", strategy.label()),
@@ -235,22 +273,38 @@ where
 
 /// Runs the full differential sweep for one seed: every configured
 /// strategy, unplanned + recording + replays, i64 exactly and (when
-/// configured) f64 within reassociation tolerance. Returns the region
-/// fingerprint on success, the first mismatch otherwise.
+/// configured) f64 within reassociation tolerance. Even seeds run the
+/// element-apply [`ScatterKernel`], odd seeds the run-issuing
+/// [`StencilKernel`]. Returns the region fingerprint on success, the
+/// first mismatch otherwise.
 pub fn check_seed(
     pool: &ThreadPool,
     cfg: &OracleCfg,
     seed: u64,
 ) -> Result<OracleStats, Box<Mismatch>> {
+    let n = cfg.n;
+    if seed % 2 == 0 {
+        check_kernel(pool, cfg, seed, &ScatterKernel { n, seed })
+    } else {
+        check_kernel(pool, cfg, seed, &StencilKernel { n, seed })
+    }
+}
+
+fn check_kernel<K: Kernel<i64> + Kernel<f64>>(
+    pool: &ThreadPool,
+    cfg: &OracleCfg,
+    seed: u64,
+    kernel: &K,
+) -> Result<OracleStats, Box<Mismatch>> {
     let mut stats = OracleStats::default();
-    check_elem::<i64, _>(pool, cfg, seed, "i64", |a, b| a == b, &mut stats)?;
+    check_elem::<i64, _, _>(pool, cfg, seed, kernel, "i64", |a, b| a == b, &mut stats)?;
     if cfg.check_floats {
         // Reassociation-only tolerance: each element accumulates a few
         // hundred O(1) contributions, so true reassociation error is
         // ~1e-13 relative; 1e-9 passes every legal merge order and still
-        // flags any lost or doubled update (magnitude >= 0.5).
+        // flags any lost or doubled update (magnitude >= 0.25).
         let same = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-        check_elem::<f64, _>(pool, cfg, seed, "f64", same, &mut stats)?;
+        check_elem::<f64, _, _>(pool, cfg, seed, kernel, "f64", same, &mut stats)?;
     }
     Ok(stats)
 }
@@ -700,17 +754,31 @@ pub mod fuzz {
         let pool = ThreadPool::new(threads);
         let mut out = vec![0i64; n];
         let red = BlockBrokenCasReduction::<i64, Sum>::new(&mut out, threads, n);
+        // Odd seeds race through the batched `apply_run` path instead of
+        // element applies (same kernel choice as `check_seed`).
+        let stencil = StencilKernel { n, seed };
         reduce(&pool, &red, 0..updates, Schedule::default(), |v, i| {
-            let h = mix64(seed ^ i as u64);
-            v.apply((h as usize) % n, 1);
+            if seed % 2 == 0 {
+                let h = mix64(seed ^ i as u64);
+                v.apply((h as usize) % n, 1);
+            } else {
+                stencil.item(v, i);
+            }
         });
         drop(red);
         drop(pool);
         drop(session);
-        // Every apply added exactly 1, so any schedule that loses an
+        // Every contribution is positive, so any schedule that loses an
         // update shows up as a short total.
         let got: i64 = out.iter().sum();
-        got != updates as i64
+        let want: i64 = if seed % 2 == 0 {
+            updates as i64
+        } else {
+            let mut want = vec![0i64; n];
+            reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| stencil.item(v, i));
+            want.iter().sum()
+        };
+        got != want
     }
 
     /// Round-robin kernel: iteration `i` hits `i % n`. With a static

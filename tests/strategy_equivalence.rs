@@ -710,3 +710,95 @@ fn product_reduction_works() {
         assert_eq!(out, expected, "strategy {}", strategy.label());
     }
 }
+
+/// Forwards only `item`, so the executor runs `Kernel::items`' default
+/// per-item loop: the reference path for a kernel's `items` override.
+struct PerItem<'a, K>(&'a K);
+
+impl<T: spray::Element, K: Kernel<T>> Kernel<T> for PerItem<'_, K> {
+    fn item<V: ReducerView<T>>(&self, view: &mut V, i: usize) {
+        self.0.item(view, i);
+    }
+}
+
+/// One fresh region; returns the output and the region's apply count.
+fn conv_region<K: Kernel<f32>>(
+    strategy: Strategy,
+    pool: &ThreadPool,
+    n: usize,
+    schedule: Schedule,
+    kernel: &K,
+) -> (Vec<f32>, u64) {
+    let mut out = vec![0.0f32; n];
+    let report =
+        RegionExecutor::<f32, Sum>::new(strategy).run(pool, &mut out, 1..n - 1, schedule, kernel);
+    (out, report.counters.totals().applies)
+}
+
+/// `Backprop3Kernel::items` (tiled tap passes through `apply_run`)
+/// against the per-item path, for every strategy and schedule shape.
+/// The sizes put tile and chunk edges on both sides of the 64-element
+/// block seams and leave trailing partial blocks. One thread must match
+/// bit for bit, since each output keeps its combine order; wider teams
+/// must match the sequential loop within reassociation tolerance. Both
+/// paths count 3 applies per item.
+///
+/// Hybrid is the one strategy checked within tolerance at one thread as
+/// well: it privatizes a block after its first `threshold` touches, and
+/// the tap passes touch a block's elements in a different order, so the
+/// split of an output's products between the in-place and the private
+/// sum moves.
+#[test]
+fn conv_items_path_matches_per_item_path() {
+    use spray_conv::{backprop3_seq, Backprop3Kernel, Stencil3};
+    let schedules = [
+        Schedule::Static { chunk: None },
+        Schedule::Static { chunk: Some(1) },
+        Schedule::Static { chunk: Some(7) },
+        Schedule::Static { chunk: Some(700) },
+        Schedule::Dynamic { chunk: 1 },
+        Schedule::Dynamic { chunk: 33 },
+        Schedule::Guided { min_chunk: 5 },
+    ];
+    // Weights that are not powers of two, so any reordering of an
+    // output's three products shows up in its low bits.
+    let w = Stencil3 {
+        wl: 0.3f32,
+        wc: 0.45,
+        wr: 0.2,
+    };
+    for n in [3usize, 4, 511, 513, 1023, 1025, 5000] {
+        let inp: Vec<f32> = (0..n)
+            .map(|i| ((i * 7919) % 1013) as f32 / 1013.0 - 0.37)
+            .collect();
+        let mut want = vec![0.0f32; n];
+        backprop3_seq(&mut want, &inp, w);
+        let kernel = Backprop3Kernel { inp: &inp, w };
+        let applies = 3 * (n as u64 - 2);
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            for strategy in Strategy::all(64) {
+                for schedule in schedules {
+                    let ctx = format!("{} n={n} t={threads} {schedule:?}", strategy.label());
+                    let (tiled, tiled_applies) = conv_region(strategy, &pool, n, schedule, &kernel);
+                    let (per_item, per_item_applies) =
+                        conv_region(strategy, &pool, n, schedule, &PerItem(&kernel));
+                    assert_eq!(tiled_applies, applies, "items path, {ctx}");
+                    assert_eq!(per_item_applies, applies, "per-item path, {ctx}");
+                    if threads == 1 && !matches!(strategy, Strategy::Hybrid { .. }) {
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&tiled), bits(&per_item), "{ctx}");
+                    }
+                    for (out, path) in [(&tiled, "items"), (&per_item, "per-item")] {
+                        for (i, (&got, &w)) in out.iter().zip(&want).enumerate() {
+                            assert!(
+                                (got - w).abs() <= 1e-5 * (1.0 + w.abs()),
+                                "{path} path, {ctx}: out[{i}] = {got}, sequential {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
