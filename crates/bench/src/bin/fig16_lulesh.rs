@@ -8,6 +8,10 @@
 //! multiplier ×10). As in the paper, the *entire* run time is reported,
 //! so differences between schemes are diluted by the unchanged remainder
 //! of the timestep.
+//!
+//! Exits non-zero if any scheme's final total energy differs from the
+//! sequential run's by more than [`ENERGY_RTOL`] (relative): the schemes
+//! only reassociate the force sums, so the physics must not change.
 
 use bench::args::Opts;
 use bench::fmt_mib;
@@ -15,6 +19,9 @@ use ompsim::ThreadPool;
 use spray::Strategy;
 use spray_lulesh::{run, Domain, ForceScheme, Params};
 use std::time::Instant;
+
+/// Relative final-energy tolerance of every scheme against sequential.
+const ENERGY_RTOL: f64 = 1e-9;
 
 #[global_allocator]
 static ALLOC: memtrack::CountingAlloc = memtrack::CountingAlloc;
@@ -33,7 +40,7 @@ fn main() {
     println!("scheme,threads,elapsed_s,mem_overhead_mib,applies,final_energy");
 
     // Sequential reference.
-    {
+    let reference = {
         let pool = ThreadPool::new(1);
         let mut d = Domain::new(nx, Params::default());
         let t0 = Instant::now();
@@ -43,7 +50,9 @@ fn main() {
             t0.elapsed().as_secs_f64(),
             stats.total_energy
         );
-    }
+        stats.total_energy
+    };
+    let mut mismatches = Vec::new();
 
     let schemes: Vec<ForceScheme> = {
         let mut s = vec![ForceScheme::EightCopy];
@@ -68,10 +77,26 @@ fn main() {
                 stats.applies,
                 stats.total_energy
             );
+            let rel = ((stats.total_energy - reference) / reference).abs();
+            // A NaN energy fails too.
+            if rel.is_nan() || rel > ENERGY_RTOL {
+                mismatches.push(format!(
+                    "{} at {threads} threads: final energy {:e} vs sequential {reference:e} (rel {rel:e})",
+                    scheme.label(),
+                    stats.total_energy
+                ));
+            }
         }
     }
     eprintln!(
         "# process heap peak: {} MiB",
         fmt_mib(memtrack::peak_bytes())
     );
+    if !mismatches.is_empty() {
+        for m in &mismatches {
+            eprintln!("FAIL: {m}");
+        }
+        eprintln!("FAIL: final energy differs from sequential by more than {ENERGY_RTOL:e}");
+        std::process::exit(1);
+    }
 }

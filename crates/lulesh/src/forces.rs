@@ -1,10 +1,14 @@
 //! Nodal force computation — the sparse-reduction heart of the proxy.
 //!
-//! Two sweeps over elements scatter 8×3 corner-force contributions each to
-//! the shared nodal force array, mirroring LULESH's
-//! `IntegrateStressForElems` and `CalcFBHourglassForceForElems` (the two
-//! functions the paper rewrites with SPRAY). The scatter runs under a
-//! selectable [`ForceScheme`]:
+//! LULESH's `IntegrateStressForElems` and `CalcFBHourglassForceForElems`
+//! (the two functions the paper rewrites with SPRAY) each scatter 8×3
+//! corner-force contributions per element to the shared nodal force
+//! array. Here both formulas stay separate per-element helpers
+//! (`stress_forces`, `hourglass_forces`) over one shared gather
+//! (`Corners`: coordinates, velocities, node normals), and a single
+//! sweep scatters their per-corner sum: 24 applies per element per
+//! cycle, where LULESH's two sweeps scatter 2×24. The scatter runs under
+//! a selectable [`ForceScheme`]:
 //!
 //! * [`ForceScheme::Seq`] — sequential reference;
 //! * [`ForceScheme::Spray`] — any spray reduction strategy over the
@@ -43,16 +47,59 @@ impl ForceScheme {
     }
 }
 
+/// One element's corner state, gathered once per element: coordinates,
+/// velocities and the node normals `B = ∂V/∂x` both force formulas share.
+pub(crate) struct Corners {
+    x: [f64; 8],
+    y: [f64; 8],
+    z: [f64; 8],
+    xd: [f64; 8],
+    yd: [f64; 8],
+    zd: [f64; 8],
+    bx: [f64; 8],
+    by: [f64; 8],
+    bz: [f64; 8],
+}
+
+impl Corners {
+    /// Gathers element `e`'s corners and computes their node normals.
+    #[inline]
+    pub(crate) fn gather(d: &Domain, e: usize) -> Self {
+        let (x, y, z) = d.elem_coords(e);
+        let (xd, yd, zd) = d.elem_velocities(e);
+        let (bx, by, bz) = node_normals(&x, &y, &z);
+        Corners {
+            x,
+            y,
+            z,
+            xd,
+            yd,
+            zd,
+            bx,
+            by,
+            bz,
+        }
+    }
+}
+
+/// Per-corner x, y and z force components of one element.
+pub(crate) type CornerForces = ([f64; 8], [f64; 8], [f64; 8]);
+
+/// A per-element force formula over gathered corners.
+type Formula = fn(&Domain, usize, &Corners) -> CornerForces;
+
 /// Corner forces from the isotropic stress `σ = -(p+q)·I`:
 /// `f_k = -σ · B_k = (p+q) · B_k` (LULESH `IntegrateStressForElems` +
 /// `SumElemStressesToNodeForces`). With outward node normals `B = ∂V/∂x`,
 /// positive pressure pushes nodes outward, expanding the element.
 #[inline]
-pub(crate) fn stress_corner_forces(d: &Domain, e: usize) -> ([f64; 8], [f64; 8], [f64; 8]) {
-    let (x, y, z) = d.elem_coords(e);
-    let (bx, by, bz) = node_normals(&x, &y, &z);
+pub(crate) fn stress_forces(d: &Domain, e: usize, c: &Corners) -> CornerForces {
     let s = d.p[e] + d.q[e];
-    (bx.map(|b| s * b), by.map(|b| s * b), bz.map(|b| s * b))
+    (
+        c.bx.map(|b| s * b),
+        c.by.map(|b| s * b),
+        c.bz.map(|b| s * b),
+    )
 }
 
 /// Corner forces of the Flanagan–Belytschko hourglass filter
@@ -61,21 +108,18 @@ pub(crate) fn stress_corner_forces(d: &Domain, e: usize) -> ([f64; 8], [f64; 8],
 /// normals as the volume derivative), the velocity field is projected onto
 /// them, and a restoring force proportional to `ss·mass/∛V` pushes back.
 #[inline]
-pub(crate) fn hourglass_corner_forces(d: &Domain, e: usize) -> ([f64; 8], [f64; 8], [f64; 8]) {
-    let (x, y, z) = d.elem_coords(e);
-    let (xd, yd, zd) = d.elem_velocities(e);
-    let (bx, by, bz) = node_normals(&x, &y, &z);
+pub(crate) fn hourglass_forces(d: &Domain, e: usize, c: &Corners) -> CornerForces {
     let volume = d.volo[e] * d.v[e];
     let volinv = 1.0 / volume;
 
     // Orthogonalized hourglass shape vectors.
     let mut hourgam = [[0.0f64; 8]; 4];
     for (m, gamma) in GAMMA.iter().enumerate() {
-        let hx: f64 = (0..8).map(|j| gamma[j] * x[j]).sum();
-        let hy: f64 = (0..8).map(|j| gamma[j] * y[j]).sum();
-        let hz: f64 = (0..8).map(|j| gamma[j] * z[j]).sum();
+        let hx: f64 = (0..8).map(|j| gamma[j] * c.x[j]).sum();
+        let hy: f64 = (0..8).map(|j| gamma[j] * c.y[j]).sum();
+        let hz: f64 = (0..8).map(|j| gamma[j] * c.z[j]).sum();
         for k in 0..8 {
-            hourgam[m][k] = gamma[k] - volinv * (bx[k] * hx + by[k] * hy + bz[k] * hz);
+            hourgam[m][k] = gamma[k] - volinv * (c.bx[k] * hx + c.by[k] * hy + c.bz[k] * hz);
         }
     }
 
@@ -85,16 +129,45 @@ pub(crate) fn hourglass_corner_forces(d: &Domain, e: usize) -> ([f64; 8], [f64; 
     let mut fy = [0.0f64; 8];
     let mut fz = [0.0f64; 8];
     for hg in &hourgam {
-        let hxd: f64 = (0..8).map(|j| hg[j] * xd[j]).sum();
-        let hyd: f64 = (0..8).map(|j| hg[j] * yd[j]).sum();
-        let hzd: f64 = (0..8).map(|j| hg[j] * zd[j]).sum();
+        let hxd: f64 = coefficient * (0..8).map(|j| hg[j] * c.xd[j]).sum::<f64>();
+        let hyd: f64 = coefficient * (0..8).map(|j| hg[j] * c.yd[j]).sum::<f64>();
+        let hzd: f64 = coefficient * (0..8).map(|j| hg[j] * c.zd[j]).sum::<f64>();
         for k in 0..8 {
-            fx[k] += coefficient * hg[k] * hxd;
-            fy[k] += coefficient * hg[k] * hyd;
-            fz[k] += coefficient * hg[k] * hzd;
+            fx[k] += hg[k] * hxd;
+            fy[k] += hg[k] * hyd;
+            fz[k] += hg[k] * hzd;
         }
     }
     (fx, fy, fz)
+}
+
+/// Total (stress + hourglass) corner forces of element `e` from one
+/// gather: the per-corner sum the one-sweep scatter applies.
+#[inline]
+pub(crate) fn corner_forces(d: &Domain, e: usize) -> CornerForces {
+    let c = Corners::gather(d, e);
+    let (mut fx, mut fy, mut fz) = stress_forces(d, e, &c);
+    let (hx, hy, hz) = hourglass_forces(d, e, &c);
+    for k in 0..8 {
+        fx[k] += hx[k];
+        fy[k] += hy[k];
+        fz[k] += hz[k];
+    }
+    (fx, fy, fz)
+}
+
+/// Applies element `e`'s 24 corner-force components to the interleaved
+/// nodal force array.
+#[inline]
+fn scatter<V: ReducerView<f64> + ?Sized>(view: &mut V, d: &Domain, e: usize, f: CornerForces) {
+    let (fx, fy, fz) = f;
+    let en = &d.mesh.elem_node[e];
+    for k in 0..8 {
+        let n = en[k] as usize * 3;
+        view.apply(n, fx[k]);
+        view.apply(n + 1, fy[k]);
+        view.apply(n + 2, fz[k]);
+    }
 }
 
 /// Error from parsing a [`ForceScheme`] with `str::parse`.
@@ -130,33 +203,16 @@ impl std::str::FromStr for ForceScheme {
     }
 }
 
-/// Which of the two force sweeps a pass runs (also the index of the
-/// pass's retained reducer in [`ForceAccum`]).
-#[derive(Clone, Copy)]
-enum Pass {
-    Stress = 0,
-    Hourglass = 1,
-}
-
+/// The one force sweep: each element gathers its corners once and
+/// scatters its summed stress + hourglass corner forces.
 struct ForceKernel<'a> {
     d: &'a Domain,
-    pass: Pass,
 }
 
 impl Kernel<f64> for ForceKernel<'_> {
     #[inline]
     fn item<V: ReducerView<f64>>(&self, view: &mut V, e: usize) {
-        let (fx, fy, fz) = match self.pass {
-            Pass::Stress => stress_corner_forces(self.d, e),
-            Pass::Hourglass => hourglass_corner_forces(self.d, e),
-        };
-        let en = &self.d.mesh.elem_node[e];
-        for k in 0..8 {
-            let n = en[k] as usize * 3;
-            view.apply(n, fx[k]);
-            view.apply(n + 1, fy[k]);
-            view.apply(n + 2, fz[k]);
-        }
+        scatter(view, self.d, e, corner_forces(self.d, e));
     }
 }
 
@@ -178,9 +234,9 @@ impl RawOut {
 pub struct ForceStats {
     /// Peak extra bytes allocated by the accumulation scheme.
     pub memory_overhead: usize,
-    /// Corner-force contributions applied through spray reducers (both
-    /// sweeps). Zero for the sequential and 8-copy schemes, which bypass
-    /// the reduction telemetry.
+    /// Corner-force contributions applied through spray reducers: 24 per
+    /// element per sweep. Zero for the sequential and 8-copy schemes,
+    /// which bypass the reduction telemetry.
     pub applies: u64,
     /// Of those, contributions that crossed a NUMA-node shard boundary
     /// (see [`spray::RunReport::remote_applies`]). Always zero on a flat
@@ -190,21 +246,17 @@ pub struct ForceStats {
 
 /// Reusable force-accumulation state for a fixed [`ForceScheme`].
 ///
-/// The timestep loop runs the force scatter twice per cycle (stress +
-/// hourglass) for thousands of cycles over the same nodal array shape.
-/// Holding the spray reducers' block scratch (and the 8-copy scheme's
-/// replica buffer) here means those allocations happen once, on the first
-/// sweep, instead of every pass — build one with [`ForceAccum::new`] and
-/// thread it through [`crate::step_with`]/[`calc_force_for_nodes_with`].
-/// It is deliberately *not* stored in [`Domain`], which stays a plain
-/// bitwise-checkpointable value.
+/// The timestep loop runs the force scatter once per cycle for thousands
+/// of cycles over the same nodal array shape. Holding the spray reducer's
+/// block scratch (and the 8-copy scheme's replica buffer) here means those
+/// allocations happen once, on the first sweep, instead of every cycle —
+/// build one with [`ForceAccum::new`] and thread it through
+/// [`crate::step_with`]/[`calc_force_for_nodes_with`]. It is deliberately
+/// *not* stored in [`Domain`], which stays a plain bitwise-checkpointable
+/// value.
 pub struct ForceAccum {
     scheme: ForceScheme,
-    /// One reducer per pass so each sweep's ownership pattern warms its
-    /// own scratch (the two passes scatter identically, but keeping them
-    /// separate costs one extra table and avoids any cross-pass reset
-    /// subtleties).
-    reducers: Option<[ReusableReducer<f64, Sum>; 2]>,
+    reducer: Option<ReusableReducer<f64, Sum>>,
     /// Retained 8-replica buffer for [`ForceScheme::EightCopy`].
     copies: Vec<f64>,
 }
@@ -216,18 +268,17 @@ impl ForceAccum {
     }
 
     /// Like [`ForceAccum::new`] with an explicit [`ExecutorPolicy`] for
-    /// the spray reducers: under [`ExecutorPolicy::Adaptive`] each pass's
-    /// executor may migrate strategies between timestep sweeps. Ignored
-    /// by the non-spray schemes.
+    /// the spray reducer: under [`ExecutorPolicy::Adaptive`] its executor
+    /// may migrate strategies between timestep sweeps. Ignored by the
+    /// non-spray schemes.
     pub fn with_policy(scheme: ForceScheme, policy: ExecutorPolicy) -> Self {
         Self::with_budget(scheme, policy, PlanBudget::UNLIMITED)
     }
 
-    /// Like [`ForceAccum::with_policy`] with a [`PlanBudget`] cap on each
+    /// Like [`ForceAccum::with_policy`] with a [`PlanBudget`] cap on the
     /// sweep's privatized scratch — the knob LULESH's own 8-copy scheme
-    /// lacks (it always pays 8 full nodal replicas). Both the stress and
-    /// hourglass passes run under the cap: their element→node scatter
-    /// plans demote the costliest shared node blocks to batched
+    /// lacks (it always pays 8 full nodal replicas). The element→node
+    /// scatter plan demotes the costliest shared node blocks to batched
     /// striped-lock updates until the projection fits, and a segmented
     /// scheme (`ForceScheme::Spray(Strategy::Segmented { .. })`) holds
     /// its corner scatters in cache-resident buckets, promoting hot node
@@ -236,16 +287,11 @@ impl ForceAccum {
     pub fn with_budget(scheme: ForceScheme, policy: ExecutorPolicy, budget: PlanBudget) -> Self {
         ForceAccum {
             scheme,
-            reducers: match scheme {
+            reducer: match scheme {
                 ForceScheme::Spray(s) => {
-                    let mut pair = [
-                        ReusableReducer::with_policy(s, policy.clone()),
-                        ReusableReducer::with_policy(s, policy),
-                    ];
-                    for r in &mut pair {
-                        r.set_budget(budget);
-                    }
-                    Some(pair)
+                    let mut r = ReusableReducer::with_policy(s, policy);
+                    r.set_budget(budget);
+                    Some(r)
                 }
                 _ => None,
             },
@@ -259,29 +305,44 @@ impl ForceAccum {
     }
 }
 
-fn run_pass(
-    d: &Domain,
-    f: &mut [f64],
+/// Plan id of the element→node scatter (one incidence per mesh, so one
+/// plan replays across all timesteps).
+const SCATTER_PLAN: u64 = 0;
+
+/// Computes all nodal forces (stress + hourglass, one sweep) into `d.f`,
+/// replacing its previous contents, reusing `accum`'s retained scratch.
+pub fn calc_force_for_nodes_with(
+    d: &mut Domain,
     pool: &ThreadPool,
     accum: &mut ForceAccum,
-    pass: Pass,
 ) -> ForceStats {
+    let mut f = std::mem::take(&mut d.f);
+    f.fill(0.0);
+    let stats = sweep(d, &mut f, pool, accum);
+    d.f = f;
+    stats
+}
+
+/// Accumulates every element's corner forces into the zeroed `f` under
+/// `accum`'s scheme.
+fn sweep(d: &Domain, f: &mut [f64], pool: &ThreadPool, accum: &mut ForceAccum) -> ForceStats {
     let nelem = d.nelem();
+    let kernel = ForceKernel { d };
     match accum.scheme {
         ForceScheme::Seq => {
-            let kernel = ForceKernel { d, pass };
             spray::reduce_seq::<f64, Sum, _>(f, 0..nelem, |view, e| kernel.item(view, e));
             ForceStats::default()
         }
         ForceScheme::Spray(_) => {
-            let kernel = ForceKernel { d, pass };
-            let reducer = &mut accum.reducers.as_mut().expect("spray scheme")[pass as usize];
-            // Both passes scatter along the fixed element→node incidence,
-            // so one plan per mesh replays across all timesteps. Each pass
-            // already has its own reducer (own plan cache); keying by pass
-            // keeps the ids meaningful if the reducers are ever merged.
-            let report =
-                reducer.run_planned(pass as u64, pool, f, 0..nelem, Schedule::default(), &kernel);
+            let reducer = accum.reducer.as_mut().expect("spray scheme");
+            let report = reducer.run_planned(
+                SCATTER_PLAN,
+                pool,
+                f,
+                0..nelem,
+                Schedule::default(),
+                &kernel,
+            );
             ForceStats {
                 memory_overhead: report.memory_overhead,
                 applies: report.counters.totals().applies,
@@ -291,16 +352,13 @@ fn run_pass(
         ForceScheme::EightCopy => {
             let stride = f.len(); // 3 * nnode
                                   // The domain-specific scheme's memory cost: 8 full replicas
-                                  // (retained across passes/cycles; re-zeroed, not re-allocated).
+                                  // (retained across cycles; re-zeroed, not re-allocated).
             accum.copies.clear();
             accum.copies.resize(8 * stride, 0.0);
             let copies = &mut accum.copies;
             let out = RawOut(copies.as_mut_ptr());
             pool.for_each(0..nelem, Schedule::default(), |e| {
-                let (fx, fy, fz) = match pass {
-                    Pass::Stress => stress_corner_forces(d, e),
-                    Pass::Hourglass => hourglass_corner_forces(d, e),
-                };
+                let (fx, fy, fz) = corner_forces(d, e);
                 let en = &d.mesh.elem_node[e];
                 for k in 0..8 {
                     let base = k * stride + en[k] as usize * 3;
@@ -336,25 +394,6 @@ fn run_pass(
     }
 }
 
-/// Computes all nodal forces (stress sweep + hourglass sweep) into `d.f`,
-/// replacing its previous contents, reusing `accum`'s retained scratch.
-pub fn calc_force_for_nodes_with(
-    d: &mut Domain,
-    pool: &ThreadPool,
-    accum: &mut ForceAccum,
-) -> ForceStats {
-    let mut f = std::mem::take(&mut d.f);
-    f.fill(0.0);
-    let s1 = run_pass(d, &mut f, pool, accum, Pass::Stress);
-    let s2 = run_pass(d, &mut f, pool, accum, Pass::Hourglass);
-    d.f = f;
-    ForceStats {
-        memory_overhead: s1.memory_overhead.max(s2.memory_overhead),
-        applies: s1.applies + s2.applies,
-        remote_applies: s1.remote_applies + s2.remote_applies,
-    }
-}
-
 /// One-shot form of [`calc_force_for_nodes_with`] (fresh scratch; loops
 /// should build a [`ForceAccum`] once and use the `_with` variant).
 pub fn calc_force_for_nodes(d: &mut Domain, pool: &ThreadPool, scheme: ForceScheme) -> ForceStats {
@@ -362,18 +401,19 @@ pub fn calc_force_for_nodes(d: &mut Domain, pool: &ThreadPool, scheme: ForceSche
 }
 
 /// Computes all nodal forces into `d.f` by submitting the stress and
-/// hourglass sweeps as **two concurrent jobs** to a shared
+/// hourglass formulas as **two concurrent jobs** to a shared
 /// [`spray_service::ReductionService`] (whose configuration supplies
 /// strategy, schedule and pool — there is no scheme choice here).
 ///
-/// The two sweeps scatter along the same element→node incidence into
+/// The two jobs scatter along the same element→node incidence into
 /// same-length outputs, so the service coalesces them into a single
 /// batched region when its window allows: one plan, one merge schedule,
-/// both sweeps' corner forces applied in one parallel phase. Each sweep
-/// reduces into its own segment; their sums combine into `d.f`
-/// afterwards, which reassociates the stress/hourglass addition exactly
-/// like the zero-initialized two-pass accumulation in
-/// [`calc_force_for_nodes_with`].
+/// both formulas' corner forces applied in one parallel phase. Each job
+/// gathers its elements' corners itself and reduces into its own
+/// segment; the two nodal totals are added into `d.f` afterwards. That
+/// associates the sum differently from [`calc_force_for_nodes_with`],
+/// which adds stress and hourglass per element corner before its single
+/// scatter, so the two agree to rounding, not bitwise.
 ///
 /// `class` identifies the mesh shape (use one value per mesh so the
 /// recorded incidence plan replays across timesteps).
@@ -387,33 +427,23 @@ pub fn calc_force_for_nodes_service(
     f.fill(0.0);
     let flen = f.len();
     let dref: &Domain = d;
-    let jobs: Vec<spray_service::Job<'_, f64>> =
-        [(Pass::Stress, f), (Pass::Hourglass, vec![0.0; flen])]
-            .into_iter()
-            .map(|(pass, out)| spray_service::Job {
-                // Distinct tenants so both sweeps are head-of-line at once
-                // (one tenant would serialize them FIFO, forfeiting the batch).
-                tenant: pass as u64,
-                class,
-                out,
-                iters: nelem,
-                body: Box::new(move |view, e| {
-                    // `ForceKernel::item` inlined: its generic view parameter
-                    // cannot take the service's `&mut dyn ReducerView` directly.
-                    let (fx, fy, fz) = match pass {
-                        Pass::Stress => stress_corner_forces(dref, e),
-                        Pass::Hourglass => hourglass_corner_forces(dref, e),
-                    };
-                    let en = &dref.mesh.elem_node[e];
-                    for k in 0..8 {
-                        let n = en[k] as usize * 3;
-                        view.apply(n, fx[k]);
-                        view.apply(n + 1, fy[k]);
-                        view.apply(n + 2, fz[k]);
-                    }
-                }),
-            })
-            .collect();
+    let formulas: [(Formula, Vec<f64>); 2] =
+        [(stress_forces, f), (hourglass_forces, vec![0.0; flen])];
+    let jobs: Vec<spray_service::Job<'_, f64>> = formulas
+        .into_iter()
+        .enumerate()
+        .map(|(tenant, (formula, out))| spray_service::Job {
+            // Distinct tenants so both jobs are head-of-line at once (one
+            // tenant would serialize them FIFO, forfeiting the batch).
+            tenant: tenant as u64,
+            class,
+            out,
+            iters: nelem,
+            body: Box::new(move |view, e| {
+                scatter(view, dref, e, formula(dref, e, &Corners::gather(dref, e)));
+            }),
+        })
+        .collect();
     let mut results = svc.run_scoped(jobs);
     let hourglass = results.pop().expect("hourglass job");
     let stress = results.pop().expect("stress job");
@@ -422,8 +452,8 @@ pub fn calc_force_for_nodes_service(
         *fi += hg;
     }
     d.f = f;
-    // When the sweeps coalesced into one region its counters already
-    // cover both; separate regions are summed.
+    // When the jobs coalesced into one region its counters already cover
+    // both; separate regions are summed.
     let (applies, remote_applies) = if stress.batch_size == 2 && hourglass.batch_size == 2 {
         (
             stress.report.counters.totals().applies,
@@ -450,14 +480,20 @@ mod tests {
     use super::*;
     use crate::domain::Params;
 
-    fn forces_with(scheme: ForceScheme, threads: usize) -> Vec<f64> {
+    /// A 4³ domain with velocities perturbed so the hourglass formula
+    /// produces nonzero work.
+    fn perturbed_domain() -> Domain {
         let mut d = Domain::new(4, Params::default());
-        // Perturb velocities so the hourglass sweep produces nonzero work.
         for n in 0..d.nnode() {
             d.xd[n] = ((n * 13 % 7) as f64 - 3.0) * 1e3;
             d.yd[n] = ((n * 5 % 11) as f64 - 5.0) * 1e3;
             d.zd[n] = ((n * 17 % 5) as f64 - 2.0) * 1e3;
         }
+        d
+    }
+
+    fn forces_with(scheme: ForceScheme, threads: usize) -> Vec<f64> {
+        let mut d = perturbed_domain();
         let pool = ThreadPool::new(threads);
         calc_force_for_nodes(&mut d, &pool, scheme);
         d.f
@@ -486,6 +522,45 @@ mod tests {
                     scheme.label()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn one_sweep_corner_forces_are_stress_plus_hourglass() {
+        let d = perturbed_domain();
+        for e in 0..d.nelem() {
+            let c = Corners::gather(&d, e);
+            let (sx, sy, sz) = stress_forces(&d, e, &c);
+            let (hx, hy, hz) = hourglass_forces(&d, e, &c);
+            let (fx, fy, fz) = corner_forces(&d, e);
+            let parts = [(fx, sx, hx), (fy, sy, hy), (fz, sz, hz)];
+            let scale = parts
+                .iter()
+                .flat_map(|(_, s, h)| s.iter().chain(h))
+                .fold(0.0f64, |a, &b| a.max(b.abs()));
+            assert!(scale > 0.0, "element {e} has no force");
+            for (axis, (f, s, h)) in parts.iter().enumerate() {
+                for k in 0..8 {
+                    assert!(
+                        (f[k] - (s[k] + h[k])).abs() <= 1e-12 * scale,
+                        "element {e} corner {k} axis {axis}: {} vs {} + {}",
+                        f[k],
+                        s[k],
+                        h[k]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spray_sweep_applies_24_per_element_per_cycle() {
+        let mut d = perturbed_domain();
+        let pool = ThreadPool::new(2);
+        let mut accum = ForceAccum::new(ForceScheme::Spray(Strategy::BlockCas { block_size: 64 }));
+        for cycle in 0..3 {
+            let stats = calc_force_for_nodes_with(&mut d, &pool, &mut accum);
+            assert_eq!(stats.applies, 24 * d.nelem() as u64, "cycle {cycle}");
         }
     }
 
@@ -522,12 +597,7 @@ mod tests {
             ),
         ];
         for (scheme, budget) in configs {
-            let mut d = Domain::new(4, Params::default());
-            for n in 0..d.nnode() {
-                d.xd[n] = ((n * 13 % 7) as f64 - 3.0) * 1e3;
-                d.yd[n] = ((n * 5 % 11) as f64 - 5.0) * 1e3;
-                d.zd[n] = ((n * 17 % 5) as f64 - 2.0) * 1e3;
-            }
+            let mut d = perturbed_domain();
             let pool = ThreadPool::new(4);
             let mut accum = ForceAccum::with_budget(scheme, ExecutorPolicy::Fixed, budget);
             for step in 0..3 {
@@ -549,12 +619,7 @@ mod tests {
         let scale: f64 = reference.iter().fold(0.0, |a, &b| a.max(b.abs()));
         assert!(scale > 0.0, "reference forces are all zero");
 
-        let mut d = Domain::new(4, Params::default());
-        for n in 0..d.nnode() {
-            d.xd[n] = ((n * 13 % 7) as f64 - 3.0) * 1e3;
-            d.yd[n] = ((n * 5 % 11) as f64 - 5.0) * 1e3;
-            d.zd[n] = ((n * 17 % 5) as f64 - 2.0) * 1e3;
-        }
+        let mut d = perturbed_domain();
         let pool = ThreadPool::new(4);
         let mut accum = ForceAccum::with_policy(
             ForceScheme::Spray(Strategy::BlockPrivate { block_size: 64 }),
@@ -579,12 +644,7 @@ mod tests {
         let scale: f64 = reference.iter().fold(0.0, |a, &b| a.max(b.abs()));
         assert!(scale > 0.0, "reference forces are all zero");
 
-        let mut d = Domain::new(4, Params::default());
-        for n in 0..d.nnode() {
-            d.xd[n] = ((n * 13 % 7) as f64 - 3.0) * 1e3;
-            d.yd[n] = ((n * 5 % 11) as f64 - 5.0) * 1e3;
-            d.zd[n] = ((n * 17 % 5) as f64 - 2.0) * 1e3;
-        }
+        let mut d = perturbed_domain();
         let svc = spray_service::ReductionService::<f64, Sum>::new(spray_service::ServiceConfig {
             threads: 4,
             strategy: Strategy::BlockCas { block_size: 64 },
@@ -651,7 +711,7 @@ mod tests {
             d.xd[n] = ((n * 17 % 23) as f64 - 11.0) * 5.0;
         }
         for e in 0..d.nelem() {
-            let (fx, fy, fz) = hourglass_corner_forces(&d, e);
+            let (fx, fy, fz) = hourglass_forces(&d, e, &Corners::gather(&d, e));
             let scale = fx
                 .iter()
                 .chain(&fy)
@@ -685,7 +745,7 @@ mod tests {
     fn stress_forces_sum_to_zero_per_element() {
         // Internal stresses exert no net force on the element.
         let d = Domain::new(3, Params::default());
-        let (fx, fy, fz) = stress_corner_forces(&d, 0);
+        let (fx, fy, fz) = stress_forces(&d, 0, &Corners::gather(&d, 0));
         let scale = d.p[0].abs().max(1.0);
         assert!(fx.iter().sum::<f64>().abs() < 1e-9 * scale);
         assert!(fy.iter().sum::<f64>().abs() < 1e-9 * scale);
@@ -702,7 +762,7 @@ mod tests {
             d.zd[n] = 0.5;
         }
         for e in 0..d.nelem() {
-            let (fx, fy, fz) = hourglass_corner_forces(&d, e);
+            let (fx, fy, fz) = hourglass_forces(&d, e, &Corners::gather(&d, e));
             for k in 0..8 {
                 assert!(fx[k].abs() < 1e-9, "hg fx {k} = {}", fx[k]);
                 assert!(fy[k].abs() < 1e-9);
@@ -722,7 +782,7 @@ mod tests {
         for (k, &n) in en.iter().enumerate() {
             d.xd[n as usize] = GAMMA[0][k];
         }
-        let (fx, _, _) = hourglass_corner_forces(&d, 0);
+        let (fx, _, _) = hourglass_forces(&d, 0, &Corners::gather(&d, 0));
         let (xd, _, _) = d.elem_velocities(0);
         let power: f64 = (0..8).map(|k| fx[k] * xd[k]).sum();
         assert!(

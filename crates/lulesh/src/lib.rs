@@ -17,7 +17,8 @@
 //! * the Sedov-like blast problem state ([`Domain`], [`Params`]),
 //! * LULESH's hex geometry kernels ([`elem_volume`], [`node_normals`],
 //!   [`char_length`]),
-//! * both force sweeps with selectable accumulation ([`ForceScheme`]:
+//! * both force formulas, computed from one corner gather and scattered
+//!   in one sweep, with selectable accumulation ([`ForceScheme`]:
 //!   sequential, any spray [`spray::Strategy`], or the 8-copy
 //!   domain-specific baseline),
 //! * a Lagrangian leapfrog integrator ([`step`], [`run`]).
@@ -55,6 +56,6 @@ pub use forces::{
 };
 pub use hex::{char_length, elem_volume, node_normals, GAMMA};
 pub use history::{run_with_history, CycleStats, History};
-pub use hydro::{run, step, step_with, RunStats};
+pub use hydro::{run, step, step_with, RunStats, U_CUT};
 pub use mesh::Mesh;
 pub use vtk::write_vtk;
