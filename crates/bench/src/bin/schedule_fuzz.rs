@@ -1,199 +1,62 @@
-//! Schedule fuzzer: sweeps seeds through the differential oracle.
+//! Schedule fuzzer: sweeps seeds through the scenario matrix (requires
+//! `--features verify`).
 //!
-//! Each seed runs every strategy (unplanned + plan-recording + replays,
-//! i64 and f64) against the sequential reduction. Built with
-//! `--features verify`, each sweep also installs ompsim's seeded
-//! schedule controller, so the interleaving is perturbed PCT-style and
-//! any failure is a one-line repro: re-running with `--seed <S>`
-//! replays the exact decision stream that exposed it. Without the
-//! feature the binary degenerates to an unperturbed differential sweep
-//! (and says so).
+//! Each seed draws one scenario — strategy, executor path (run, planned,
+//! delta, service), topology, scratch budget, planted migrations, kernel —
+//! and runs it under ompsim's seeded schedule controller, checking every
+//! region against the sequential reduction. The seed then plants one
+//! fault (site `seed % FAULT_SITES`) that must poison its region and
+//! leave pool and executor exact on rerun. The sweep fails on any
+//! failing seed, or — in a sweep of at least `COVERAGE_SEEDS` seeds on
+//! two or more threads — if the scenarios never crossed some hook point. A failure replays from
+//! one line: `schedule_fuzz --start S --seeds 1`, which exits 0 once the
+//! seed is fixed.
 //!
-//! Modes:
-//!
-//! * default — sweep `--seeds` seeds from `--start` (or just `--seed`),
-//!   failing if any seed mismatches;
-//! * `--broken` — run the planted-bug canary (block-CAS with the
-//!   ownership CAS dropped) and exit 0 only if some seed in the budget
-//!   *catches* the bug (CI inverts the gate: not catching is the
-//!   failure);
-//! * `--faults N` — N fault-injection iterations: an injected mid-region
-//!   panic must poison the region (never deadlock) and leave pool +
-//!   executor able to produce exact results afterwards;
-//! * `--migrations N` — N seeds through the adaptive differential
-//!   oracle: each seed installs a controller that plants forced strategy
-//!   migrations at region boundaries (plus the cost model's own) and
-//!   checks the adaptive executor bit-for-bit (i64) against the
-//!   sequential loop, then injects a fault during a migration drain and
-//!   requires poison-not-deadlock with no lost updates afterwards. The
-//!   sweep fails if NO seed planted a migration (the mode lost its
-//!   teeth). Without `--features verify` it degrades to the unperturbed
-//!   adaptive oracle (cost-model migrations only, no fault injection);
-//! * `--arena N` — N seeds through the arena-retention fingerprint
-//!   check: the seeded controller must observe identical hook totals
-//!   and per-thread merge orders whether regions run on fresh arena
-//!   slabs or on scratch recycled from a previous region, and the
-//!   planted-migration drain fingerprint must replay identically.
-//!   Requires `--features verify`;
-//! * `--segmented N` — N seeds through the two-level segmented-reducer
-//!   sweep: each seed runs `Strategy::Segmented` across bucket
-//!   granularities and scratch budgets (unlimited, tight, and zero —
-//!   the last pins every bucket fill to the sorted-overflow path) under
-//!   the seeded controller, two back-to-back regions per combination so
-//!   retained scratch is always exercised, bit-identical (i64) to the
-//!   sequential loop; then plants a panic at a seed-chosen
-//!   `BucketSpill` crossing and requires poison-not-deadlock with an
-//!   exact unperturbed rerun. The sweep fails if NO seed crossed a
-//!   bucket spill (the mode lost its teeth). Requires
-//!   `--features verify`;
-//! * `--service N` — N seeds through the reduction-service concurrent
-//!   jobs oracle: each seed runs a deterministic job set through a
-//!   [`ReductionService`](spray_service::ReductionService) twice —
-//!   serial submission with batching off, then two submitter threads
-//!   with batching and the pipelined epilogue on — under a seeded
-//!   controller with planted strategy migrations, and requires both
-//!   runs bit-identical (i64) to the sequential loop and to each
-//!   other. Requires `--features verify`;
-//! * `--delta N` — N seeds through the incremental-reduction oracle:
-//!   each seed drives two streams of delta batches (invertible i64 Sum
-//!   hitting both the dirty-block and full-refold paths, and i64 Min on
-//!   the refold-only path) through
-//!   [`run_delta`](spray::RegionExecutor::run_delta) under a seeded
-//!   controller with planted strategy migrations, checking every round
-//!   bit-identical against a canonical replay of the live contribution
-//!   set; then plants panics at seed-chosen `DeltaApply` crossings on
-//!   both the parallel and serial staging paths and requires
-//!   poison-not-corrupt (pre-batch result intact) plus an exact
-//!   post-fault replay. The sweep fails if NO seed applied deltas or
-//!   retractions (the mode lost its teeth). Requires
-//!   `--features verify`;
-//! * `--numa N` — N seeds through the topology differential oracle:
-//!   each seed runs every strategy under a flat topology (checked
-//!   bit-exactly against the sequential loop) and under three emulated
-//!   sharded topologies (`1xT`, `2x⌈T/2⌉`, `Tx1`), recording plus a
-//!   planned replay per leg, and requires every sharded result
-//!   bit-identical to the flat control — topology may change routing,
-//!   merge schedules and arena placement, never results; then plants a
-//!   panic at a seed-chosen `ShardRoute` crossing (a keeper apply
-//!   routed to the *other* node) and requires poison-not-corrupt with
-//!   an exact unperturbed rerun. The sweep fails if NO seed routed a
-//!   cross-node contribution (the mode lost its teeth). Requires
-//!   `--features verify`.
+//! `--broken` inverts the gate: it runs the planted-bug canary (block-CAS
+//! with the ownership CAS split) and exits 0 only if some even seed
+//! (element applies) *and* some odd seed (`apply_run`) catch the bug.
 
-use spray::verify::OracleCfg;
-use spray::Strategy;
+use ompsim::verify::{HookPoint, NPOINTS};
+use spray::verify::fuzz::{broken_case, plant_fault, Scenario};
 
 struct FuzzOpts {
     seeds: u64,
     start: u64,
     threads: usize,
-    n: usize,
-    updates: usize,
-    block_size: usize,
-    dynamic: bool,
-    no_floats: bool,
-    replays: usize,
     broken: bool,
-    faults: u64,
-    migrations: u64,
-    arena: u64,
-    segmented: u64,
-    service: u64,
-    delta: u64,
-    numa: u64,
     quiet: bool,
 }
 
-impl Default for FuzzOpts {
-    fn default() -> Self {
-        FuzzOpts {
-            seeds: 16,
-            start: 0,
-            threads: 4,
-            n: 512,
-            updates: 4096,
-            block_size: 32,
-            dynamic: false,
-            no_floats: false,
-            replays: 2,
-            broken: false,
-            faults: 0,
-            migrations: 0,
-            arena: 0,
-            segmented: 0,
-            service: 0,
-            delta: 0,
-            numa: 0,
-            quiet: false,
-        }
-    }
-}
+/// Sweeps shorter than this only report hook points their scenarios
+/// missed: one seed runs one strategy on one path and cannot cross all
+/// eleven. So do one-thread sweeps, which have no remote traffic to
+/// push or route.
+const COVERAGE_SEEDS: u64 = 64;
 
-const USAGE: &str = "usage: schedule_fuzz [--seed S | --seeds N --start S] [--threads T] \
-[--n N] [--updates U] [--block-size B] [--replays R] [--dynamic] [--no-floats] \
-[--broken] [--faults N] [--migrations N] [--arena N] [--segmented N] [--service N] \
-[--delta N] [--numa N] [--quiet]";
+const USAGE: &str =
+    "usage: schedule_fuzz [--seeds N] [--start S] [--threads T] [--broken] [--quiet]";
 
 fn parse_opts() -> FuzzOpts {
-    let mut o = FuzzOpts::default();
+    let mut o = FuzzOpts {
+        seeds: 16,
+        start: 0,
+        threads: 4,
+        broken: false,
+        quiet: false,
+    };
     let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value\n{USAGE}");
+    let value = |v: Option<String>, flag: &str| -> u64 {
+        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+            eprintln!("{flag} needs an integer value\n{USAGE}");
             std::process::exit(2);
         })
     };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => {
-                o.start = value(&mut args, "--seed").parse().expect("--seed: u64");
-                o.seeds = 1;
-            }
-            "--seeds" => o.seeds = value(&mut args, "--seeds").parse().expect("--seeds: u64"),
-            "--start" => o.start = value(&mut args, "--start").parse().expect("--start: u64"),
-            "--threads" => {
-                o.threads = value(&mut args, "--threads")
-                    .parse()
-                    .expect("--threads: usize")
-            }
-            "--n" => o.n = value(&mut args, "--n").parse().expect("--n: usize"),
-            "--updates" => {
-                o.updates = value(&mut args, "--updates")
-                    .parse()
-                    .expect("--updates: usize")
-            }
-            "--block-size" => {
-                o.block_size = value(&mut args, "--block-size")
-                    .parse()
-                    .expect("--block-size: usize")
-            }
-            "--replays" => {
-                o.replays = value(&mut args, "--replays")
-                    .parse()
-                    .expect("--replays: usize")
-            }
-            "--dynamic" => o.dynamic = true,
-            "--no-floats" => o.no_floats = true,
+            "--seeds" => o.seeds = value(args.next(), "--seeds"),
+            "--start" => o.start = value(args.next(), "--start"),
+            "--threads" => o.threads = value(args.next(), "--threads").max(1) as usize,
             "--broken" => o.broken = true,
-            "--faults" => o.faults = value(&mut args, "--faults").parse().expect("--faults: u64"),
-            "--migrations" => {
-                o.migrations = value(&mut args, "--migrations")
-                    .parse()
-                    .expect("--migrations: u64")
-            }
-            "--arena" => o.arena = value(&mut args, "--arena").parse().expect("--arena: u64"),
-            "--segmented" => {
-                o.segmented = value(&mut args, "--segmented")
-                    .parse()
-                    .expect("--segmented: u64")
-            }
-            "--service" => {
-                o.service = value(&mut args, "--service")
-                    .parse()
-                    .expect("--service: u64")
-            }
-            "--delta" => o.delta = value(&mut args, "--delta").parse().expect("--delta: u64"),
-            "--numa" => o.numa = value(&mut args, "--numa").parse().expect("--numa: u64"),
             "--quiet" => o.quiet = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -208,565 +71,28 @@ fn parse_opts() -> FuzzOpts {
     o
 }
 
-fn oracle_cfg(o: &FuzzOpts) -> OracleCfg {
-    OracleCfg {
-        n: o.n,
-        updates: o.updates,
-        threads: o.threads,
-        block_size: o.block_size,
-        strategies: Strategy::all(o.block_size),
-        check_floats: !o.no_floats,
-        dynamic: o.dynamic,
-        replays: o.replays,
-    }
-}
-
-fn repro_line(o: &FuzzOpts, seed: u64) -> String {
-    let mut extra = String::new();
-    if o.dynamic {
-        extra.push_str(" --dynamic");
-    }
-    if o.no_floats {
-        extra.push_str(" --no-floats");
-    }
-    format!(
-        "repro: cargo run --release -p bench --features verify --bin schedule_fuzz -- \
-         --seed {seed} --threads {} --n {} --updates {} --block-size {} --replays {}{extra}",
-        o.threads, o.n, o.updates, o.block_size, o.replays
-    )
-}
-
-#[cfg(feature = "verify")]
-fn sweep(o: &FuzzOpts) -> u64 {
-    use spray::verify::fuzz::fuzz_case;
-    let cfg = oracle_cfg(o);
-    let mut failures = 0u64;
-    for seed in o.start..o.start + o.seeds {
-        let outcome = fuzz_case(&cfg, seed);
-        match outcome.result {
-            Ok(stats) => {
-                if !o.quiet {
-                    let crossings: u64 = outcome.hook_totals.iter().sum();
-                    println!(
-                        "seed {seed}: ok ({} regions, {crossings} hook crossings, \
-                         {} preemptions, {} merges by t0)",
-                        stats.regions,
-                        outcome.preemptions,
-                        outcome.merge_orders.first().map_or(0, |m| m.len())
-                    );
-                }
-            }
-            Err(m) => {
-                failures += 1;
-                eprintln!("FAIL {m}");
-                eprintln!("{}", repro_line(o, seed));
-            }
-        }
-    }
-    failures
-}
-
-#[cfg(not(feature = "verify"))]
-fn sweep(o: &FuzzOpts) -> u64 {
-    use ompsim::ThreadPool;
-    use spray::verify::check_seed;
-    eprintln!(
-        "note: built without --features verify — running the unperturbed differential \
-         oracle only (no schedule control, no replay)"
-    );
-    let cfg = oracle_cfg(o);
-    let pool = ThreadPool::new(o.threads);
-    let mut failures = 0u64;
-    for seed in o.start..o.start + o.seeds {
-        match check_seed(&pool, &cfg, seed) {
-            Ok(stats) => {
-                if !o.quiet {
-                    println!("seed {seed}: ok ({} regions)", stats.regions);
-                }
-            }
-            Err(m) => {
-                failures += 1;
-                eprintln!("FAIL {m}");
-                eprintln!("{}", repro_line(o, seed));
-            }
-        }
-    }
-    failures
-}
-
-#[cfg(feature = "verify")]
 fn broken_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::broken_case;
+    let mut caught = [None, None];
     for seed in o.start..o.start + o.seeds {
-        if broken_case(o.threads, seed) {
-            println!(
-                "broken-CAS canary: lost updates exposed at seed {seed} \
-                 ({} seed(s) into the sweep)",
-                seed - o.start + 1
-            );
-            return 0;
+        let parity = (seed % 2) as usize;
+        if caught[parity].is_none() && broken_case(o.threads, seed) {
+            caught[parity] = Some(seed);
         }
     }
-    eprintln!(
-        "broken-CAS canary NOT caught in {} seed(s) — the fuzzer lost its teeth",
-        o.seeds
-    );
-    1
-}
-
-#[cfg(feature = "verify")]
-fn faults_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::fault_case;
-    let mut bad = 0;
-    for seed in o.start..o.start + o.faults {
-        match fault_case(o.threads, seed) {
-            Ok(()) => {
-                if !o.quiet {
-                    println!("fault seed {seed}: poisoned cleanly, rerun exact");
-                }
-            }
-            Err(e) => {
-                bad += 1;
-                eprintln!("FAIL fault seed {seed}: {e}");
-            }
+    for (parity, path) in ["even (element apply)", "odd (apply_run)"]
+        .iter()
+        .enumerate()
+    {
+        match caught[parity] {
+            Some(seed) => println!("broken-CAS canary: {path} seeds caught it at seed {seed}"),
+            None => eprintln!(
+                "broken-CAS canary NOT caught on {path} seeds in {} seed(s) — the fuzzer \
+                 lost its teeth",
+                o.seeds
+            ),
         }
     }
-    if bad > 0 {
-        eprintln!("fault injection: {bad} failure(s)");
-        1
-    } else {
-        println!("fault injection: {} iteration(s) clean", o.faults);
-        0
-    }
-}
-
-/// One-line repro for a failing migration seed.
-fn migration_repro_line(o: &FuzzOpts, seed: u64) -> String {
-    let mut extra = String::new();
-    if o.no_floats {
-        extra.push_str(" --no-floats");
-    }
-    format!(
-        "repro: cargo run --release -p bench --features verify --bin schedule_fuzz -- \
-         --migrations 1 --start {seed} --threads {} --n {} --updates {} --block-size {} \
-         --replays {}{extra}",
-        o.threads, o.n, o.updates, o.block_size, o.replays
-    )
-}
-
-#[cfg(feature = "verify")]
-fn migrations_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::{migration_case, migration_fault_case};
-    let cfg = oracle_cfg(o);
-    let mut bad = 0u64;
-    let mut planted = 0u64;
-    for seed in o.start..o.start + o.migrations {
-        let outcome = migration_case(&cfg, seed);
-        planted += outcome.migrations;
-        match outcome.result {
-            Ok(stats) => {
-                if !o.quiet {
-                    println!(
-                        "migration seed {seed}: ok ({} regions, {} migrations, \
-                         {} decision crossings)",
-                        stats.regions, outcome.migrations, outcome.decision_crossings
-                    );
-                }
-            }
-            Err(m) => {
-                bad += 1;
-                eprintln!("FAIL {m}");
-                eprintln!("{}", migration_repro_line(o, seed));
-            }
-        }
-        // A fault injected during a migration drain must poison the
-        // region — never deadlock — and lose no updates afterwards.
-        if let Err(e) = migration_fault_case(o.threads, seed) {
-            bad += 1;
-            eprintln!("FAIL migration fault seed {seed}: {e}");
-            eprintln!("{}", migration_repro_line(o, seed));
-        }
-    }
-    if bad > 0 {
-        eprintln!(
-            "migration fuzz: {bad} failure(s) over {} seed(s)",
-            o.migrations
-        );
-        return 1;
-    }
-    if planted == 0 {
-        eprintln!(
-            "migration fuzz: {} seed(s) planted NO migrations — the mode lost its teeth",
-            o.migrations
-        );
-        return 1;
-    }
-    println!(
-        "migration fuzz: {} seed(s) from {} clean ({planted} migrations exercised, {} threads)",
-        o.migrations, o.start, o.threads
-    );
-    0
-}
-
-#[cfg(not(feature = "verify"))]
-fn migrations_main(o: &FuzzOpts) -> i32 {
-    use ompsim::ThreadPool;
-    use spray::verify::check_adaptive_seed;
-    eprintln!(
-        "note: built without --features verify — running the unperturbed adaptive \
-         oracle only (cost-model migrations, no planted schedule, no fault injection)"
-    );
-    let cfg = oracle_cfg(o);
-    let pool = ThreadPool::new(o.threads);
-    let mut bad = 0u64;
-    let mut migrations = 0u64;
-    for seed in o.start..o.start + o.migrations {
-        match check_adaptive_seed(&pool, &cfg, seed) {
-            Ok(stats) => {
-                migrations += stats.migrations;
-                if !o.quiet {
-                    println!(
-                        "migration seed {seed}: ok ({} regions, {} migrations)",
-                        stats.regions, stats.migrations
-                    );
-                }
-            }
-            Err(m) => {
-                bad += 1;
-                eprintln!("FAIL {m}");
-                eprintln!("{}", migration_repro_line(o, seed));
-            }
-        }
-    }
-    if bad > 0 {
-        eprintln!(
-            "migration fuzz: {bad} failure(s) over {} seed(s)",
-            o.migrations
-        );
-        return 1;
-    }
-    if migrations == 0 {
-        eprintln!(
-            "migration fuzz: {} seed(s) drove NO migrations — the mode lost its teeth",
-            o.migrations
-        );
-        return 1;
-    }
-    println!(
-        "migration fuzz: {} seed(s) from {} clean ({migrations} migrations exercised, {} threads)",
-        o.migrations, o.start, o.threads
-    );
-    0
-}
-
-#[cfg(feature = "verify")]
-fn arena_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::arena_case;
-    let mut bad = 0u64;
-    for seed in o.start..o.start + o.arena {
-        match arena_case(o.threads, seed) {
-            Ok(()) => {
-                if !o.quiet {
-                    println!(
-                        "arena seed {seed}: fresh and retained-scratch fingerprints \
-                         identical, migration drain replays"
-                    );
-                }
-            }
-            Err(e) => {
-                bad += 1;
-                eprintln!("FAIL arena seed {seed}: {e}");
-                eprintln!(
-                    "repro: cargo run --release -p bench --features verify --bin \
-                     schedule_fuzz -- --arena 1 --start {seed} --threads {}",
-                    o.threads
-                );
-            }
-        }
-    }
-    if bad > 0 {
-        eprintln!("arena fuzz: {bad} failure(s) over {} seed(s)", o.arena);
-        return 1;
-    }
-    println!(
-        "arena fuzz: {} seed(s) from {} clean ({} threads)",
-        o.arena, o.start, o.threads
-    );
-    0
-}
-
-#[cfg(not(feature = "verify"))]
-fn arena_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--arena requires --features verify");
-    2
-}
-
-#[cfg(feature = "verify")]
-fn segmented_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::{segmented_case, segmented_fault_case};
-    let mut bad = 0u64;
-    let mut spills = 0u64;
-    for seed in o.start..o.start + o.segmented {
-        let outcome = segmented_case(o.threads, seed);
-        spills += outcome.bucket_spills;
-        match outcome.result {
-            Ok(()) => {
-                if !o.quiet {
-                    println!(
-                        "segmented seed {seed}: ok ({} bucket spills, {} preemptions)",
-                        outcome.bucket_spills, outcome.preemptions
-                    );
-                }
-            }
-            Err(e) => {
-                bad += 1;
-                eprintln!("FAIL {e}");
-                eprintln!(
-                    "repro: cargo run --release -p bench --features verify --bin \
-                     schedule_fuzz -- --segmented 1 --start {seed} --threads {}",
-                    o.threads
-                );
-            }
-        }
-        // A fault injected inside the bucket-overflow handler must
-        // poison the region — never deadlock — and leave pool +
-        // executor able to produce exact results afterwards.
-        if let Err(e) = segmented_fault_case(o.threads, seed) {
-            bad += 1;
-            eprintln!("FAIL segmented fault seed {seed}: {e}");
-            eprintln!(
-                "repro: cargo run --release -p bench --features verify --bin \
-                 schedule_fuzz -- --segmented 1 --start {seed} --threads {}",
-                o.threads
-            );
-        }
-    }
-    if bad > 0 {
-        eprintln!(
-            "segmented fuzz: {bad} failure(s) over {} seed(s)",
-            o.segmented
-        );
-        return 1;
-    }
-    if spills == 0 {
-        eprintln!(
-            "segmented fuzz: {} seed(s) crossed NO bucket spills — the mode lost its teeth",
-            o.segmented
-        );
-        return 1;
-    }
-    println!(
-        "segmented fuzz: {} seed(s) from {} clean ({spills} bucket spills exercised, {} threads)",
-        o.segmented, o.start, o.threads
-    );
-    0
-}
-
-#[cfg(not(feature = "verify"))]
-fn segmented_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--segmented requires --features verify");
-    2
-}
-
-#[cfg(feature = "verify")]
-fn service_main(o: &FuzzOpts) -> i32 {
-    use spray_service::fuzz::service_case;
-    let mut bad = 0u64;
-    let mut migrations = 0u64;
-    for seed in o.start..o.start + o.service {
-        let outcome = service_case(seed);
-        migrations += outcome.migrations;
-        match outcome.result {
-            Ok(()) => {
-                if !o.quiet {
-                    println!(
-                        "service seed {seed}: serial and concurrent submission \
-                         bit-identical ({} migrations)",
-                        outcome.migrations
-                    );
-                }
-            }
-            Err(e) => {
-                bad += 1;
-                eprintln!("FAIL {e}");
-                eprintln!(
-                    "repro: cargo run --release -p bench --features verify --bin \
-                     schedule_fuzz -- --service 1 --start {seed}"
-                );
-            }
-        }
-    }
-    if bad > 0 {
-        eprintln!("service fuzz: {bad} failure(s) over {} seed(s)", o.service);
-        return 1;
-    }
-    if migrations == 0 {
-        eprintln!(
-            "service fuzz: {} seed(s) planted NO migrations — the mode lost its teeth",
-            o.service
-        );
-        return 1;
-    }
-    println!(
-        "service fuzz: {} seed(s) from {} clean ({migrations} migrations exercised)",
-        o.service, o.start
-    );
-    0
-}
-
-#[cfg(not(feature = "verify"))]
-fn service_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--service requires --features verify");
-    2
-}
-
-#[cfg(feature = "verify")]
-fn delta_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::{delta_case, delta_fault_case};
-    let mut bad = 0u64;
-    let mut applies = 0u64;
-    let mut retractions = 0u64;
-    for seed in o.start..o.start + o.delta {
-        let outcome = delta_case(o.threads, seed);
-        applies += outcome.delta_applies;
-        retractions += outcome.retractions;
-        match outcome.result {
-            Ok(()) => {
-                if !o.quiet {
-                    println!(
-                        "delta seed {seed}: incremental bit-identical to replay \
-                         ({} delta applies, {} retractions, {} migrations, {} preemptions)",
-                        outcome.delta_applies,
-                        outcome.retractions,
-                        outcome.migrations,
-                        outcome.preemptions
-                    );
-                }
-            }
-            Err(e) => {
-                bad += 1;
-                eprintln!("FAIL {e}");
-                eprintln!(
-                    "repro: cargo run --release -p bench --features verify --bin \
-                     schedule_fuzz -- --delta 1 --start {seed} --threads {}",
-                    o.threads
-                );
-            }
-        }
-        // A fault injected mid-staging must poison the batch — never
-        // corrupt the retained result — and an unperturbed replay of
-        // the same batch must land exactly.
-        if let Err(e) = delta_fault_case(o.threads, seed) {
-            bad += 1;
-            eprintln!("FAIL delta fault seed {seed}: {e}");
-            eprintln!(
-                "repro: cargo run --release -p bench --features verify --bin \
-                 schedule_fuzz -- --delta 1 --start {seed} --threads {}",
-                o.threads
-            );
-        }
-    }
-    if bad > 0 {
-        eprintln!("delta fuzz: {bad} failure(s) over {} seed(s)", o.delta);
-        return 1;
-    }
-    if applies == 0 || retractions == 0 {
-        eprintln!(
-            "delta fuzz: {} seed(s) drove NO delta applies/retractions \
-             ({applies} applies, {retractions} retractions) — the mode lost its teeth",
-            o.delta
-        );
-        return 1;
-    }
-    println!(
-        "delta fuzz: {} seed(s) from {} clean ({applies} delta applies, \
-         {retractions} retractions exercised, {} threads)",
-        o.delta, o.start, o.threads
-    );
-    0
-}
-
-#[cfg(not(feature = "verify"))]
-fn delta_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--delta requires --features verify");
-    2
-}
-
-#[cfg(feature = "verify")]
-fn numa_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::{numa_case, numa_fault_case};
-    let mut bad = 0u64;
-    let mut routes = 0u64;
-    for seed in o.start..o.start + o.numa {
-        let outcome = numa_case(o.threads, seed);
-        routes += outcome.shard_routes;
-        match outcome.result {
-            Ok(()) => {
-                if !o.quiet {
-                    println!(
-                        "numa seed {seed}: sharded legs bit-identical to flat \
-                         ({} shard routes, {} preemptions)",
-                        outcome.shard_routes, outcome.preemptions
-                    );
-                }
-            }
-            Err(e) => {
-                bad += 1;
-                eprintln!("FAIL {e}");
-                eprintln!(
-                    "repro: cargo run --release -p bench --features verify --bin \
-                     schedule_fuzz -- --numa 1 --start {seed} --threads {}",
-                    o.threads
-                );
-            }
-        }
-        // A fault injected on a cross-node route must poison the region
-        // — never corrupt a neighbor's shard — and leave pool + executor
-        // able to produce exact results afterwards.
-        if let Err(e) = numa_fault_case(o.threads, seed) {
-            bad += 1;
-            eprintln!("FAIL numa fault seed {seed}: {e}");
-            eprintln!(
-                "repro: cargo run --release -p bench --features verify --bin \
-                 schedule_fuzz -- --numa 1 --start {seed} --threads {}",
-                o.threads
-            );
-        }
-    }
-    if bad > 0 {
-        eprintln!("numa fuzz: {bad} failure(s) over {} seed(s)", o.numa);
-        return 1;
-    }
-    if routes == 0 {
-        eprintln!(
-            "numa fuzz: {} seed(s) routed NO cross-node contributions — the mode lost its teeth",
-            o.numa
-        );
-        return 1;
-    }
-    println!(
-        "numa fuzz: {} seed(s) from {} clean ({routes} cross-node routes exercised, {} threads)",
-        o.numa, o.start, o.threads
-    );
-    0
-}
-
-#[cfg(not(feature = "verify"))]
-fn numa_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--numa requires --features verify");
-    2
-}
-
-#[cfg(not(feature = "verify"))]
-fn broken_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--broken requires --features verify");
-    2
-}
-
-#[cfg(not(feature = "verify"))]
-fn faults_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--faults requires --features verify");
-    2
+    i32::from(caught.contains(&None))
 }
 
 fn main() {
@@ -774,34 +100,76 @@ fn main() {
     if o.broken {
         std::process::exit(broken_main(&o));
     }
-    if o.faults > 0 {
-        std::process::exit(faults_main(&o));
+    let mut failures = 0u64;
+    let mut totals = [0u64; NPOINTS];
+    let mut fail = |seed: u64, e: String| {
+        failures += 1;
+        eprintln!("FAIL {e}");
+        eprintln!(
+            "repro: cargo run --release -p bench --features verify --bin schedule_fuzz -- \
+             --start {seed} --seeds 1 --threads {}",
+            o.threads
+        );
+    };
+    for seed in o.start..o.start + o.seeds {
+        let sc = Scenario::draw(seed, o.threads);
+        match spray_service::fuzz::run(&sc) {
+            Ok(out) => {
+                totals
+                    .iter_mut()
+                    .zip(out.hook_totals)
+                    .for_each(|(t, x)| *t += x);
+                if !o.quiet {
+                    let crossings: u64 = out.hook_totals.iter().sum();
+                    println!(
+                        "{sc}: ok ({} regions, {crossings} hook crossings, {} preemptions, \
+                         {} migrations)",
+                        out.regions, out.preemptions, out.migrations
+                    );
+                }
+            }
+            Err(e) => fail(seed, e),
+        }
+        // A plant whose fault never fires fails, so its crossings stay
+        // out of the scenario coverage below.
+        if let Err(e) = plant_fault(o.threads, seed) {
+            fail(seed, e);
+        }
     }
-    if o.migrations > 0 {
-        std::process::exit(migrations_main(&o));
+    // Coverage: a scenario matrix that never crosses a hook has stopped
+    // testing the protocol behind it.
+    let missed: Vec<&str> = HookPoint::ALL
+        .iter()
+        .filter(|p| totals[p.index()] == 0)
+        .map(|p| p.name())
+        .collect();
+    if !missed.is_empty() {
+        let gate = o.seeds >= COVERAGE_SEEDS && o.threads > 1;
+        let note = if gate {
+            ""
+        } else {
+            " (not gated in a short sweep)"
+        };
+        eprintln!(
+            "schedule_fuzz: scenarios never crossed hook point(s) {}{note}",
+            missed.join(", ")
+        );
+        failures += u64::from(gate);
     }
-    if o.arena > 0 {
-        std::process::exit(arena_main(&o));
-    }
-    if o.segmented > 0 {
-        std::process::exit(segmented_main(&o));
-    }
-    if o.service > 0 {
-        std::process::exit(service_main(&o));
-    }
-    if o.delta > 0 {
-        std::process::exit(delta_main(&o));
-    }
-    if o.numa > 0 {
-        std::process::exit(numa_main(&o));
-    }
-    let failures = sweep(&o);
     if failures > 0 {
-        eprintln!("schedule_fuzz: {failures} failing seed(s) of {}", o.seeds);
+        eprintln!(
+            "schedule_fuzz: {failures} failure(s) over {} seed(s)",
+            o.seeds
+        );
         std::process::exit(1);
     }
+    let covered = if missed.is_empty() {
+        ", every hook point crossed"
+    } else {
+        ""
+    };
     println!(
-        "schedule_fuzz: {} seed(s) from {} clean ({} threads)",
+        "schedule_fuzz: {} seed(s) from {} clean ({} threads){covered}",
         o.seeds, o.start, o.threads
     );
 }

@@ -111,7 +111,7 @@ impl AdaptiveConfig {
     /// Density is a pure function of the workload, so under this config
     /// the whole migration sequence is deterministic for a fixed job
     /// stream — the envelope the differential verify oracles
-    /// (`check_adaptive_seed`, the service fuzz case) need: timing-borne
+    /// (`check_adaptive_seed`, migrating fuzz scenarios) need: timing-borne
     /// signals would let wall-clock noise change *which* strategies run,
     /// and no seeded controller can replay that. The remote axis is
     /// deterministic but *topology*-borne, and the NUMA oracle compares

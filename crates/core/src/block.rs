@@ -357,61 +357,8 @@ impl_seal!(NoOwnershipSeal, NoOwnership);
 impl_seal!(LockOwnershipSeal, LockOwnership);
 impl_seal!(CasOwnershipSeal, CasOwnership);
 
-/// **Deliberately broken** ownership used only by the verification
-/// harness: block-CAS with the CAS dropped. `try_claim` does a plain
-/// load / perturb / store — two threads can both observe `UNOWNED` (or
-/// each other's claim) and both walk away believing they own the block,
-/// after which their direct writes race on `out` and drop updates. The
-/// schedule fuzzer must catch this within its seed budget; it proves the
-/// harness can see the exact class of bug the real protocol prevents.
-#[cfg(feature = "verify")]
-#[doc(hidden)]
-pub struct BrokenCasOwnershipSeal(CasOwnership);
-
-#[cfg(feature = "verify")]
-impl Ownership for BrokenCasOwnershipSeal {
-    const DIRECT: bool = true;
-    fn new(nblocks: usize) -> Self {
-        BrokenCasOwnershipSeal(CasOwnership::new(nblocks))
-    }
-    fn try_claim(&self, b: usize, tid: usize) -> Claim {
-        let cur = self.0.table[b].0.load(Ordering::Relaxed);
-        // The bug: the check and the store are separate steps, and the
-        // perturbation point invites a context switch between them.
-        ompsim::verify::perturb_idx(ompsim::verify::HookPoint::OwnershipClaim, b as u64);
-        if cur == tid {
-            Claim::Retained
-        } else {
-            // Steals occupied blocks too — a second thread that raced the
-            // claim window "wins" alongside the first.
-            self.0.table[b].0.store(tid, Ordering::Relaxed);
-            Claim::Won
-        }
-    }
-    fn reset(&self) {
-        self.0.reset()
-    }
-    fn footprint(&self) -> usize {
-        self.0.footprint()
-    }
-}
-
-/// Verification-only reduction over the broken ownership above. Never
-/// use outside the fuzz harness.
-#[cfg(feature = "verify")]
-#[doc(hidden)]
-pub type BlockBrokenCasReduction<'a, T, O> = BlockReduction<'a, T, O, BrokenCasOwnershipSeal>;
-
-#[cfg(feature = "verify")]
-impl<'a, T: Element, O: ReduceOp<T>> BlockBrokenCasReduction<'a, T, O> {
-    /// Constructs the planted-bug reduction (verification harness only).
-    pub fn new(out: &'a mut [T], nthreads: usize, block_size: usize) -> Self {
-        Self::with_flavor(out, nthreads, block_size, "block-brokenCAS")
-    }
-}
-
 impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
-    fn with_flavor(
+    pub(crate) fn with_flavor(
         out: &'a mut [T],
         nthreads: usize,
         block_size: usize,
@@ -902,26 +849,23 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> BlockView<T, O, W> {
 }
 
 /// Merges one in-block stretch of an `apply_run` into the view's cached
-/// block storage: `dst[k] = O::combine(dst[k], vals[k])`.
-///
-/// Under `verify` the stretch is one widened race window, the run form of
-/// `SharedSlice::combine`'s load/perturb/store: the stretch is read and
-/// combined, the `SharedWrite` hook is crossed once (`idx` = the
-/// stretch's first element), and the combined stretch is written back.
+/// block storage: `dst[k] = O::combine(dst[k], vals[k])`. The first
+/// element is peeled into a load, `SharedWrite` crossing (`idx` = the
+/// stretch's first element), store — the same race window as `apply`,
+/// once per stretch — and the merge kernel runs the rest.
 ///
 /// # Safety
 /// `dst` must be valid for `vals.len()` elements that this thread may
 /// write exclusively (the last-block cache invariant).
 #[inline(always)]
 unsafe fn merge_stretch<T: Element, O: ReduceOp<T>>(dst: *mut T, vals: &[T], first: usize) {
-    if cfg!(feature = "verify") {
-        let mut cur = std::slice::from_raw_parts(dst, vals.len()).to_vec();
-        kernels::merge_slices::<T, O>(&mut cur, vals);
-        ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, first as u64);
-        std::ptr::copy_nonoverlapping(cur.as_ptr(), dst, vals.len());
-    } else {
-        kernels::merge_into::<T, O>(dst, vals.as_ptr(), vals.len());
-    }
+    let Some((&head, rest)) = vals.split_first() else {
+        return;
+    };
+    let cur = *dst;
+    ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, first as u64);
+    *dst = O::combine(cur, head);
+    kernels::merge_into::<T, O>(dst.add(1), rest.as_ptr(), rest.len());
 }
 
 impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O, W> {
@@ -935,18 +879,11 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
             // has exclusive write access to that storage for the region.
             unsafe {
                 let p = self.last_base.add(i & self.core.mask);
-                #[cfg(feature = "verify")]
-                {
-                    // Widened race window (see `SharedSlice::combine`):
-                    // the cached target may be the shared output array.
-                    let cur = *p;
-                    ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, i as u64);
-                    *p = O::combine(cur, v);
-                }
-                #[cfg(not(feature = "verify"))]
-                {
-                    *p = O::combine(*p, v);
-                }
+                // Race window (see `SharedSlice::combine`): the cached
+                // target may be the shared output array.
+                let cur = *p;
+                ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, i as u64);
+                *p = O::combine(cur, v);
             }
         } else {
             (self.last_block, self.last_base) = self.core.apply_slow(i, v);
@@ -957,8 +894,8 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
     /// block's base pointer once (via the regular slow path, which also
     /// installs the last-block cache), and stream the in-block stretch
     /// through the merge kernel instead of re-deciding ownership per
-    /// element. Verify builds run this same path, with one `SharedWrite`
-    /// race window per stretch (see `merge_stretch`).
+    /// element, crossing one `SharedWrite` hook per stretch (see
+    /// `merge_stretch`).
     fn apply_run(&mut self, start: usize, vals: &[T]) {
         // One up-front range check covers the whole run (the per-element
         // path re-checks per apply).
@@ -1167,24 +1104,12 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                         // fused kernel also refills the copy with the
                         // identity, which `finish` used to do in a second
                         // pass over the same bytes.
-                        #[cfg(not(feature = "verify"))]
                         unsafe {
                             kernels::merge_refill_into::<T, O>(
                                 self.out.as_mut_ptr().add(range.start),
                                 blk.as_ptr(),
                                 range.len(),
                             );
-                        }
-                        // Verify builds keep the seed's per-element combine
-                        // (each element is a perturbation hook site) and
-                        // refill separately — refilling has no hooks.
-                        #[cfg(feature = "verify")]
-                        unsafe {
-                            let s = blk.as_slice(range.len());
-                            for (off, i) in range.clone().enumerate() {
-                                self.out.combine::<O>(i, s[off]);
-                            }
-                            kernels::refill_into::<T, O>(blk.as_ptr(), range.len());
                         }
                         merged_elems += range.len() as u64;
                     }
@@ -1208,21 +1133,12 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                     // this thread — `merge_owner(b)` is a pure function
                     // of `b`, partitioning the dirty lists — and owners
                     // stopped writing at the barrier.
-                    #[cfg(not(feature = "verify"))]
                     unsafe {
                         kernels::merge_refill_into::<T, O>(
                             self.out.as_mut_ptr().add(range.start),
                             blk.as_ptr(),
                             range.len(),
                         );
-                    }
-                    #[cfg(feature = "verify")]
-                    unsafe {
-                        let s = blk.as_slice(range.len());
-                        for (off, i) in range.clone().enumerate() {
-                            self.out.combine::<O>(i, s[off]);
-                        }
-                        kernels::refill_into::<T, O>(blk.as_ptr(), range.len());
                     }
                     merged_elems += range.len() as u64;
                 }

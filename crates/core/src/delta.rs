@@ -374,7 +374,7 @@ pub(crate) fn run_delta_engine<T: Element, O: ReduceOp<T>>(
         let serial =
             pool.num_threads() == 1 || staged_ids.len() < 4 || total_cost < SERIAL_STAGE_COST;
         if serial {
-            ompsim::verify::enter_region(0);
+            ompsim::verify::enter_region(0, ompsim::verify::binding());
             for (slot, &b) in staged_ids.iter().enumerate() {
                 perturb_idx(HookPoint::DeltaApply, b as u64);
                 let (u, r) = block_edits(b);

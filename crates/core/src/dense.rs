@@ -120,24 +120,14 @@ impl<T: Element, O: ReduceOp<T>> Reduction<T> for DenseReduction<'_, T, O> {
         for t in 0..self.nthreads {
             // SAFETY: post-barrier, slots are read-only.
             if let Some(buf) = unsafe { self.slots.get(t) } {
+                ompsim::verify::perturb_idx(ompsim::verify::HookPoint::MergeStep, t as u64);
                 // SAFETY: out[lo..hi) is written by this thread only.
-                #[cfg(not(feature = "verify"))]
                 unsafe {
                     kernels::merge_into::<T, O>(
                         self.out.as_mut_ptr().add(lo),
                         buf.as_ptr().add(lo),
                         hi - lo,
                     );
-                }
-                // Verify builds keep the per-element combine — each
-                // element is a schedule-perturbation hook site.
-                #[cfg(feature = "verify")]
-                for (i, &v) in buf.as_slice()[lo..hi]
-                    .iter()
-                    .enumerate()
-                    .map(|(o, v)| (lo + o, v))
-                {
-                    unsafe { self.out.combine::<O>(i, v) };
                 }
                 merged += (hi - lo) as u64;
             }

@@ -27,7 +27,6 @@
 
 use crate::arena::{BlockArena, BlockRef};
 use crate::elem::{AtomicElement, ReduceOp};
-#[cfg(not(feature = "verify"))]
 use crate::kernels;
 use crate::reducer::{ReducerView, Reduction};
 use crate::shared::{MemCounter, SharedSlice, Slots};
@@ -219,21 +218,13 @@ impl<T: AtomicElement, O: ReduceOp<T>> Reduction<T> for HybridReduction<'_, T, O
                     continue;
                 };
                 if let Some(blk) = scratch.blocks[b] {
+                    ompsim::verify::perturb_idx(ompsim::verify::HookPoint::MergeStep, b as u64);
                     // SAFETY: block b is merged only by this thread and
                     // atomic writers stopped at the barrier. No refill:
                     // hybrid drops its copies in `finish` (the next region
                     // re-decides which blocks are hot).
-                    #[cfg(not(feature = "verify"))]
                     unsafe {
                         kernels::merge_into::<T, O>(self.out.as_mut_ptr().add(lo), blk.as_ptr(), n);
-                    }
-                    // Verify builds keep the per-element combine — each
-                    // element is a schedule-perturbation hook site.
-                    #[cfg(feature = "verify")]
-                    unsafe {
-                        for (off, &v) in blk.as_slice(n).iter().enumerate() {
-                            self.out.combine::<O>(lo + off, v);
-                        }
                     }
                     merged += n as u64;
                 }

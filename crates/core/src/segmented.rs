@@ -500,29 +500,18 @@ impl<T: Element, O: ReduceOp<T>> Reduction<T> for SegmentedReduction<'_, T, O> {
                 let Some(s) = (unsafe { self.slots.get(t) }) else {
                     continue;
                 };
-                // Dense promoted copy first (8-wide fused merge+refill;
-                // verify builds keep the per-element hook sequence and
-                // refill separately, as in the block reducers).
+                // Dense promoted copy first (fused merge+refill).
                 if s.state[b] == BK_DENSE {
                     let blk = s.dense[b].unwrap();
                     // SAFETY: block `b` is drained only by this thread
                     // (deterministic schedule), the copy's writer stopped
                     // at the barrier.
-                    #[cfg(not(feature = "verify"))]
                     unsafe {
                         kernels::merge_refill_into::<T, O>(
                             self.out.as_mut_ptr().add(range.start),
                             blk.as_ptr(),
                             range.len(),
                         );
-                    }
-                    #[cfg(feature = "verify")]
-                    unsafe {
-                        let src = blk.as_slice(range.len());
-                        for (off, i) in range.clone().enumerate() {
-                            self.out.combine::<O>(i, src[off]);
-                        }
-                        kernels::refill_into::<T, O>(blk.as_ptr(), range.len());
                     }
                     merged_bytes += (range.len() * std::mem::size_of::<T>()) as u64;
                 }

@@ -59,20 +59,14 @@ impl<T: Element> SharedSlice<T> {
     pub(crate) unsafe fn combine<O: ReduceOp<T>>(&self, i: usize, v: T) {
         debug_assert!(i < self.len);
         let p = self.ptr.add(i);
-        #[cfg(feature = "verify")]
-        {
-            // Widened race window: load, perturbation point, store. A
-            // schedule controller may deschedule this thread mid-RMW —
-            // harmless under the exclusivity contract, a visible lost
-            // update when a (deliberately broken) protocol violates it.
-            let cur = *p;
-            ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, i as u64);
-            *p = O::combine(cur, v);
-        }
-        #[cfg(not(feature = "verify"))]
-        {
-            *p = O::combine(*p, v);
-        }
+        // Race window: load, perturbation point, store. A schedule
+        // controller may deschedule this thread mid-RMW — harmless under
+        // the exclusivity contract, a visible lost update when a
+        // (deliberately broken) protocol violates it. Without `verify`
+        // the hook is an empty inline fn and this is a plain RMW.
+        let cur = *p;
+        ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, i as u64);
+        *p = O::combine(cur, v);
     }
 
     /// Atomic `slice[i] = O::combine(slice[i], v)`.

@@ -1,312 +1,228 @@
 //! Differential concurrency-verification oracle.
 //!
-//! The oracle runs every strategy over the same seeded scatter kernel —
-//! unplanned, plan-recording, and plan-replaying — and compares each
-//! result against the sequential reduction: bit-for-bit for integer
-//! elements, within a tight reassociation tolerance for floats. On its
-//! own (`check_seed`) it is an always-compiled correctness sweep; under
-//! the `verify` feature the `fuzz` module pairs it with ompsim's
-//! seeded schedule controller so every sweep runs under a replayable
-//! perturbed interleaving, turning the oracle into a schedule fuzzer
-//! (PCT-style randomized preemption, fault injection, and a planted-bug
-//! canary). The `schedule_fuzz` bench binary drives it from the CLI;
-//! DESIGN.md's "Verification" section maps the hook points.
+//! One property (§IV): a parallel region's result equals the sequential
+//! reduction — bit for bit for integer elements, within a tight
+//! reassociation tolerance for floats. The always-compiled sweeps
+//! ([`check_seed`], [`check_adaptive_seed`]) check it unperturbed. Under
+//! the `verify` feature, [`fuzz`] draws one [`fuzz::Scenario`] per seed —
+//! strategy, executor path, topology, scratch budget, planted migrations,
+//! kernel — and runs it under ompsim's seeded schedule controller, so any
+//! failure replays from one line: `schedule_fuzz --start S --seeds 1`.
+//! DESIGN.md §7 maps the hook points.
 
-use crate::{reduce_seq, Counters, Kernel, ReducerView, RegionExecutor, Strategy, Sum};
+use crate::{reduce_seq, AtomicElement, Counters, Kernel, ReduceOp, ReducerView, RegionExecutor};
+use crate::{Strategy, Sum};
 use ompsim::verify::mix64;
 use ompsim::{Schedule, ThreadPool};
-use std::fmt;
 
-/// Deterministic scatter kernel: iteration `i` applies two updates at
-/// pseudo-random indices derived from `(seed, i)` — the shape the
-/// proptest oracles use, shared here so fuzz failures replay under the
-/// exact kernel that found them.
-pub struct ScatterKernel {
-    /// Output array length (indices are reduced mod `n`).
+/// The oracle's kernel shapes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelKind {
+    /// Element applies: iteration `i` applies two updates at
+    /// pseudo-random indices derived from `(seed, i)`.
+    Scatter,
+    /// Runs: iteration `i` adds one 3-wide [`ReducerView::apply_run`] at
+    /// `i mod (n-2)`. Consecutive iterations overlap like a convolution's
+    /// back-propagation and runs straddle block seams, so the batched
+    /// block path (stretch split, cached-block merge, its `SharedWrite`
+    /// crossing) runs under the schedule controller.
+    Stencil,
+    /// Iteration `i` hits `i % n`: under a static schedule every thread
+    /// touches every block, enqueues remote keeper traffic and merges,
+    /// so every fault site is reachable.
+    RoundRobin,
+}
+
+impl KernelKind {
+    /// Element applies on even seeds, runs on odd ones.
+    pub fn of_seed(seed: u64) -> Self {
+        [KernelKind::Scatter, KernelKind::Stencil][(seed % 2) as usize]
+    }
+}
+
+/// A deterministic oracle kernel: `kind` over `n` elements, its values
+/// drawn from `seed`, so a failure replays under the exact kernel that
+/// found it.
+pub struct OracleKernel {
+    /// Kernel shape.
+    pub kind: KernelKind,
+    /// Output array length (at least 3).
     pub n: usize,
-    /// Stream seed: each seed is a distinct scatter pattern.
+    /// Stream seed: each seed is a distinct pattern.
     pub seed: u64,
 }
 
-impl ScatterKernel {
+impl OracleKernel {
+    /// Seed `seed`'s kernel ([`KernelKind::of_seed`]) over `n` elements.
+    pub fn of_seed(n: usize, seed: u64) -> Self {
+        let kind = KernelKind::of_seed(seed);
+        OracleKernel { kind, n, seed }
+    }
+
     #[inline(always)]
     fn hash(&self, i: usize) -> u64 {
         mix64(self.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
-impl Kernel<i64> for ScatterKernel {
+impl Kernel<i64> for OracleKernel {
     #[inline(always)]
     fn item<V: ReducerView<i64>>(&self, view: &mut V, i: usize) {
-        let h = self.hash(i);
-        view.apply((h as usize) % self.n, 1 + ((h >> 32) % 5) as i64);
-        view.apply(((h >> 16) as usize) % self.n, 3);
-    }
-}
-
-impl Kernel<f64> for ScatterKernel {
-    #[inline(always)]
-    fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
-        let h = self.hash(i);
-        view.apply(
-            (h as usize) % self.n,
-            ((h % 1000) as f64).mul_add(1e-3, 1.0),
-        );
-        view.apply(((h >> 16) as usize) % self.n, 0.5);
-    }
-}
-
-/// Deterministic stencil kernel that issues runs: iteration `i` adds one
-/// 3-wide [`ReducerView::apply_run`] at `i mod (n-2)` with seeded values.
-/// Consecutive iterations overlap like a convolution's back-propagation,
-/// and runs straddle block seams, so the batched block path (stretch
-/// split, cached-block merge, its `SharedWrite` window) runs under the
-/// schedule controller. The oracle picks it or [`ScatterKernel`] by seed
-/// ([`check_seed`]).
-pub struct StencilKernel {
-    /// Output array length (at least 3).
-    pub n: usize,
-    /// Stream seed.
-    pub seed: u64,
-}
-
-impl StencilKernel {
-    #[inline(always)]
-    fn pick(&self, i: usize) -> (usize, u64) {
-        (i % (self.n - 2), mix64(self.seed ^ i as u64))
-    }
-}
-
-impl Kernel<i64> for StencilKernel {
-    #[inline(always)]
-    fn item<V: ReducerView<i64>>(&self, view: &mut V, i: usize) {
-        let (start, h) = self.pick(i);
-        view.apply_run(start, &[1 + (h % 5) as i64, 2, 3 + ((h >> 8) % 3) as i64]);
-    }
-}
-
-impl Kernel<f64> for StencilKernel {
-    #[inline(always)]
-    fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
-        let (start, h) = self.pick(i);
-        let x = ((h % 1000) as f64).mul_add(1e-3, 1.0);
-        view.apply_run(start, &[0.25 * x, 0.5 * x, 0.25 * x]);
-    }
-}
-
-/// Which executor path produced a checked result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// `RegionExecutor::run`.
-    Unplanned,
-    /// `run_planned`, first region (plan recording).
-    Recording,
-    /// `run_planned`, replay number `n` (1-based).
-    Replay(usize),
-    /// Region `n` (0-based) of the multi-region adaptive sweep
-    /// ([`check_adaptive_seed`]), which may migrate strategies between
-    /// regions.
-    AdaptiveRegion(usize),
-}
-
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Mode::Unplanned => write!(f, "unplanned"),
-            Mode::Recording => write!(f, "recording"),
-            Mode::Replay(n) => write!(f, "replay{n}"),
-            Mode::AdaptiveRegion(n) => write!(f, "adaptive-region{n}"),
-        }
-    }
-}
-
-/// A differential failure: one element disagreed with the sequential
-/// reduction. `Display` prints a one-line repro-oriented description.
-#[derive(Debug, Clone)]
-pub struct Mismatch {
-    /// Seed whose sweep failed (the one-line repro handle).
-    pub seed: u64,
-    /// Strategy label (paper naming).
-    pub strategy: String,
-    /// Executor path that produced the bad result.
-    pub mode: Mode,
-    /// Element type of the failing sweep (`"i64"` / `"f64"`).
-    pub elem: &'static str,
-    /// First disagreeing element index.
-    pub index: usize,
-    /// Parallel result at `index`.
-    pub got: String,
-    /// Sequential result at `index`.
-    pub want: String,
-}
-
-impl fmt::Display for Mismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed {}: {} ({}, {}) out[{}] = {} != sequential {}",
-            self.seed, self.strategy, self.mode, self.elem, self.index, self.got, self.want
-        )
-    }
-}
-
-/// Oracle workload parameters.
-#[derive(Debug, Clone)]
-pub struct OracleCfg {
-    /// Output array length.
-    pub n: usize,
-    /// Loop iterations per region (two applies each).
-    pub updates: usize,
-    /// Team size.
-    pub threads: usize,
-    /// Block size for the block-flavor strategies.
-    pub block_size: usize,
-    /// Strategies to sweep.
-    pub strategies: Vec<Strategy>,
-    /// Also run the f64 sweep (tolerance compare).
-    pub check_floats: bool,
-    /// Use a `dynamic` loop schedule instead of the default static one.
-    pub dynamic: bool,
-    /// Planned replays per strategy after the recording region.
-    pub replays: usize,
-}
-
-impl OracleCfg {
-    /// The CI smoke shape: small array, heavy overlap, every strategy.
-    pub fn quick(threads: usize) -> Self {
-        let block_size = 32;
-        OracleCfg {
-            n: 512,
-            updates: 4096,
-            threads,
-            block_size,
-            strategies: Strategy::all(block_size),
-            check_floats: true,
-            dynamic: false,
-            replays: 2,
-        }
-    }
-}
-
-/// Per-seed summary: every `(strategy, mode)` region that ran and its
-/// telemetry counter totals, in execution order. Under a deterministic
-/// schedule (static, non-claiming strategies) the whole vector is a
-/// replayable fingerprint.
-#[derive(Debug, Clone, Default)]
-pub struct OracleStats {
-    /// Parallel regions executed by the sweep.
-    pub regions: usize,
-    /// `("strategy/elem/mode", counter totals)` per region, in order.
-    pub reports: Vec<(String, Counters)>,
-}
-
-fn check_elem<T, K, CMP>(
-    pool: &ThreadPool,
-    cfg: &OracleCfg,
-    seed: u64,
-    kernel: &K,
-    elem: &'static str,
-    same: CMP,
-    stats: &mut OracleStats,
-) -> Result<(), Box<Mismatch>>
-where
-    T: crate::AtomicElement + fmt::Debug + Default + Copy,
-    K: Kernel<T>,
-    crate::Sum: crate::ReduceOp<T>,
-    CMP: Fn(T, T) -> bool,
-{
-    let schedule = if cfg.dynamic {
-        Schedule::Dynamic { chunk: 3 }
-    } else {
-        Schedule::default()
-    };
-    let mut want = vec![T::default(); cfg.n];
-    reduce_seq::<T, Sum, _>(&mut want, 0..cfg.updates, |v, i| kernel.item(v, i));
-
-    let check = |out: &[T], strategy: &Strategy, mode: Mode| -> Result<(), Box<Mismatch>> {
-        for (i, (&got, &w)) in out.iter().zip(want.iter()).enumerate() {
-            if !same(got, w) {
-                return Err(Box::new(Mismatch {
-                    seed,
-                    strategy: strategy.label(),
-                    mode,
-                    elem,
-                    index: i,
-                    got: format!("{got:?}"),
-                    want: format!("{w:?}"),
-                }));
+        let (h, n) = (self.hash(i), self.n);
+        match self.kind {
+            KernelKind::Scatter => {
+                view.apply((h as usize) % n, 1 + ((h >> 32) % 5) as i64);
+                view.apply(((h >> 16) as usize) % n, 3);
             }
+            KernelKind::Stencil => view.apply_run(
+                i % (n - 2),
+                &[1 + (h % 5) as i64, 2, 3 + ((h >> 8) % 3) as i64],
+            ),
+            KernelKind::RoundRobin => view.apply(i % n, 1),
         }
-        Ok(())
-    };
-
-    for &strategy in &cfg.strategies {
-        let mut ex = RegionExecutor::<T, Sum>::new(strategy);
-        let mut out = vec![T::default(); cfg.n];
-        let report = ex.run(pool, &mut out, 0..cfg.updates, schedule, kernel);
-        stats.regions += 1;
-        stats.reports.push((
-            format!("{}/{elem}/unplanned", strategy.label()),
-            report.counters.totals(),
-        ));
-        check(&out, &strategy, Mode::Unplanned)?;
-
-        let mut ex = RegionExecutor::<T, Sum>::new(strategy);
-        for r in 0..=cfg.replays {
-            let mode = if r == 0 {
-                Mode::Recording
-            } else {
-                Mode::Replay(r)
-            };
-            let mut out = vec![T::default(); cfg.n];
-            let report = ex.run_planned(1, pool, &mut out, 0..cfg.updates, schedule, kernel);
-            stats.regions += 1;
-            stats.reports.push((
-                format!("{}/{elem}/{mode}", strategy.label()),
-                report.counters.totals(),
-            ));
-            check(&out, &strategy, mode)?;
-        }
-    }
-    Ok(())
-}
-
-/// Runs the full differential sweep for one seed: every configured
-/// strategy, unplanned + recording + replays, i64 exactly and (when
-/// configured) f64 within reassociation tolerance. Even seeds run the
-/// element-apply [`ScatterKernel`], odd seeds the run-issuing
-/// [`StencilKernel`]. Returns the region fingerprint on success, the
-/// first mismatch otherwise.
-pub fn check_seed(
-    pool: &ThreadPool,
-    cfg: &OracleCfg,
-    seed: u64,
-) -> Result<OracleStats, Box<Mismatch>> {
-    let n = cfg.n;
-    if seed % 2 == 0 {
-        check_kernel(pool, cfg, seed, &ScatterKernel { n, seed })
-    } else {
-        check_kernel(pool, cfg, seed, &StencilKernel { n, seed })
     }
 }
 
-fn check_kernel<K: Kernel<i64> + Kernel<f64>>(
-    pool: &ThreadPool,
-    cfg: &OracleCfg,
-    seed: u64,
-    kernel: &K,
-) -> Result<OracleStats, Box<Mismatch>> {
-    let mut stats = OracleStats::default();
-    check_elem::<i64, _, _>(pool, cfg, seed, kernel, "i64", |a, b| a == b, &mut stats)?;
-    if cfg.check_floats {
-        // Reassociation-only tolerance: each element accumulates a few
-        // hundred O(1) contributions, so true reassociation error is
-        // ~1e-13 relative; 1e-9 passes every legal merge order and still
-        // flags any lost or doubled update (magnitude >= 0.25).
-        let same = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-        check_elem::<f64, _, _>(pool, cfg, seed, kernel, "f64", same, &mut stats)?;
+impl Kernel<f64> for OracleKernel {
+    #[inline(always)]
+    fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
+        let (h, n) = (self.hash(i), self.n);
+        let x = ((h % 1000) as f64).mul_add(1e-3, 1.0);
+        match self.kind {
+            KernelKind::Scatter => {
+                view.apply((h as usize) % n, x);
+                view.apply(((h >> 16) as usize) % n, 0.5);
+            }
+            KernelKind::Stencil => view.apply_run(i % (n - 2), &[0.25 * x, 0.5 * x, 0.25 * x]),
+            KernelKind::RoundRobin => view.apply(i % n, 1.0),
+        }
     }
-    Ok(stats)
+}
+
+/// Element types the oracle checks, with their equality contract.
+pub trait OracleElem: AtomicElement + Default {
+    /// Name in mismatch reports.
+    const NAME: &'static str;
+    /// Whether parallel result `got` is acceptable for sequential `want`.
+    fn same(got: Self, want: Self) -> bool;
+}
+
+impl OracleElem for i64 {
+    const NAME: &'static str = "i64";
+    fn same(got: i64, want: i64) -> bool {
+        got == want
+    }
+}
+
+impl OracleElem for f64 {
+    const NAME: &'static str = "f64";
+    /// Reassociation-only tolerance: each element accumulates a few
+    /// hundred O(1) contributions, so true reassociation error is ~1e-13
+    /// relative; 1e-9 passes every legal merge order and still flags any
+    /// lost or doubled update (magnitude >= 0.25).
+    fn same(got: f64, want: f64) -> bool {
+        (got - want).abs() <= 1e-9 * (1.0 + got.abs().max(want.abs()))
+    }
+}
+
+/// Compares a parallel result against the sequential one under `T`'s
+/// equality contract; the error names `what` and the first disagreeing
+/// element.
+fn check<T: OracleElem>(got: &[T], want: &[T], what: &str) -> Result<(), String> {
+    match got.iter().zip(want).position(|(&g, &w)| !T::same(g, w)) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "{what}: out[{i}] = {:?} != sequential {:?}",
+            got[i], want[i]
+        )),
+    }
+}
+
+/// The sequential reference: `kernel` over `0..updates` into `n` zeros.
+fn sequential<T: OracleElem, K: Kernel<T>>(n: usize, updates: usize, kernel: &K) -> Vec<T>
+where
+    Sum: ReduceOp<T>,
+{
+    let mut want = vec![T::default(); n];
+    reduce_seq::<T, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
+    want
+}
+
+/// Block size of the oracle's block-flavored strategies.
+pub const BLOCK: usize = 32;
+/// Output length of an oracle region.
+const N: usize = 512;
+/// Loop iterations of an oracle region.
+const UPDATES: usize = 4096;
+/// Regions per [`leg`]: later regions reuse retained scratch (run) or
+/// replay the recorded plan (planned).
+const REGIONS: usize = 3;
+
+/// `(label, counter totals)` per region, in execution order.
+pub type Reports = Vec<(String, Counters)>;
+
+/// The differential runner: `REGIONS` regions of `kernel` on `pool`,
+/// each checked against the sequential reduction. `planned` records a
+/// plan in region 0 and replays it after; otherwise every region runs
+/// unplanned. `retain` keeps the first executor `make` returns (later
+/// regions run on its recycled arena scratch or replay its plan);
+/// otherwise every region gets a fresh executor, and with it a fresh
+/// arena. Pushes `"strategy/elem/regionR"` reports and returns the
+/// outputs and the executor's final migration count.
+pub fn leg<T: OracleElem>(
+    pool: &ThreadPool,
+    make: impl Fn() -> RegionExecutor<T, Sum>,
+    planned: bool,
+    retain: bool,
+    schedule: Schedule,
+    kernel: &OracleKernel,
+    reports: &mut Reports,
+) -> Result<(Vec<Vec<T>>, u64), String>
+where
+    Sum: ReduceOp<T>,
+    OracleKernel: Kernel<T>,
+{
+    let want = sequential::<T, _>(kernel.n, UPDATES, kernel);
+    let mut ex = make();
+    let mut outs = Vec::new();
+    for r in 0..REGIONS {
+        if !retain && r > 0 {
+            ex = make();
+        }
+        let mut out = vec![T::default(); kernel.n];
+        let report = if planned {
+            ex.run_planned(1, pool, &mut out, 0..UPDATES, schedule, kernel)
+        } else {
+            ex.run(pool, &mut out, 0..UPDATES, schedule, kernel)
+        };
+        let what = format!("{}/{}/region{r}", report.strategy, T::NAME);
+        check(&out, &want, &what)?;
+        reports.push((what, report.counters.totals()));
+        outs.push(out);
+    }
+    Ok((outs, ex.migrations()))
+}
+
+/// The unperturbed all-strategy sweep for one seed: every strategy's
+/// run and planned [`leg`], i64 exactly and f64 within reassociation
+/// tolerance, on the seed's [`OracleKernel`] under `schedule`. Returns
+/// every region's report on success, the first mismatch otherwise.
+pub fn check_seed(pool: &ThreadPool, seed: u64, schedule: Schedule) -> Result<Reports, String> {
+    let kernel = OracleKernel::of_seed(N, seed);
+    let mut reports = Vec::new();
+    for strategy in Strategy::all(BLOCK) {
+        for planned in [false, true] {
+            let r = &mut reports;
+            let (i, f) = (
+                || RegionExecutor::new(strategy),
+                || RegionExecutor::new(strategy),
+            );
+            leg::<i64>(pool, i, planned, true, schedule, &kernel, r)
+                .and_then(|_| leg::<f64>(pool, f, planned, true, schedule, &kernel, r))
+                .map_err(|e| format!("seed {seed}: {e}"))?;
+        }
+    }
+    Ok(reports)
 }
 
 /// Per-seed summary of one adaptive differential sweep
@@ -325,46 +241,32 @@ pub struct AdaptiveStats {
 /// Regions per phase of the adaptive sweep's shifted workload.
 const ADAPTIVE_PHASE_REGIONS: usize = 4;
 
-fn check_adaptive_elem<T, CMP>(
-    pool: &ThreadPool,
-    cfg: &OracleCfg,
-    seed: u64,
-    elem: &'static str,
-    same: CMP,
-    stats: &mut AdaptiveStats,
-) -> Result<(), Box<Mismatch>>
-where
-    T: crate::AtomicElement + fmt::Debug + Default + Copy,
-    ScatterKernel: Kernel<T>,
-    crate::Sum: crate::ReduceOp<T>,
-    CMP: Fn(T, T) -> bool,
-{
-    let schedule = if cfg.dynamic {
-        Schedule::Dynamic { chunk: 3 }
-    } else {
-        Schedule::default()
-    };
-    let candidates = crate::default_candidates(cfg.block_size);
-    let acfg = crate::AdaptiveConfig {
-        candidates: candidates.clone(),
+/// The oracle's adaptive policy: density-only over the default
+/// candidates. With the timing-fed and topology-fed axes off, the cost
+/// model — and with it the whole migration sequence, cost-model and
+/// planted alike — is a pure function of the seed on any pool.
+pub fn adaptive_policy() -> crate::ExecutorPolicy {
+    crate::ExecutorPolicy::Adaptive(crate::AdaptiveConfig {
         patience: 2,
-        // Zero disables the timing-fed components (barrier fraction,
-        // claim contention): the oracle's cost model is then a pure
-        // function of the deterministic density signal, so the whole
-        // migration sequence — cost-model and planted alike — replays
-        // bit-for-bit from the seed.
-        contention_limit: 0.0,
-        barrier_limit: 0.0,
-        ..crate::AdaptiveConfig::default()
-    };
-    let mut adaptive = RegionExecutor::<T, Sum>::with_policy(
-        Strategy::BlockPrivate {
-            block_size: cfg.block_size,
-        },
-        crate::ExecutorPolicy::Adaptive(acfg),
-    );
-    let mut fixed: Vec<RegionExecutor<T, Sum>> =
-        candidates.iter().map(|&s| RegionExecutor::new(s)).collect();
+        ..crate::AdaptiveConfig::density_only(crate::default_candidates(BLOCK))
+    })
+}
+
+fn check_adaptive_elem<T: OracleElem>(
+    pool: &ThreadPool,
+    seed: u64,
+    stats: &mut AdaptiveStats,
+) -> Result<(), String>
+where
+    OracleKernel: Kernel<T>,
+    Sum: ReduceOp<T>,
+{
+    let start = Strategy::BlockPrivate { block_size: BLOCK };
+    let adaptive = RegionExecutor::with_policy(start, adaptive_policy());
+    let fixed = crate::default_candidates(BLOCK).into_iter();
+    let mut executors: Vec<RegionExecutor<T, Sum>> = std::iter::once(adaptive)
+        .chain(fixed.map(RegionExecutor::new))
+        .collect();
 
     for r in 0..2 * ADAPTIVE_PHASE_REGIONS {
         // Phase 0: dense front-loaded stream (8 applies/element); phase
@@ -372,82 +274,53 @@ where
         // cached plans replay within a phase and are invalidated by
         // migrations between them.
         let phase = (r / ADAPTIVE_PHASE_REGIONS) as u64;
-        let updates = if phase == 0 {
-            cfg.n * 8
-        } else {
-            (cfg.n / 8).max(1)
-        };
-        let kernel = ScatterKernel {
-            n: cfg.n,
+        let updates = if phase == 0 { N * 8 } else { N / 8 };
+        let (kind, n) = (KernelKind::Scatter, N);
+        let kernel = OracleKernel {
+            kind,
+            n,
             seed: mix64(seed ^ phase),
         };
-        let mut want = vec![T::default(); cfg.n];
-        reduce_seq::<T, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-
-        let check = |out: &[T], strategy: String| -> Result<(), Box<Mismatch>> {
-            for (i, (&got, &w)) in out.iter().zip(want.iter()).enumerate() {
-                if !same(got, w) {
-                    return Err(Box::new(Mismatch {
-                        seed,
-                        strategy,
-                        mode: Mode::AdaptiveRegion(r),
-                        elem,
-                        index: i,
-                        got: format!("{got:?}"),
-                        want: format!("{w:?}"),
-                    }));
-                }
-            }
-            Ok(())
-        };
-
-        let mut out = vec![T::default(); cfg.n];
-        let report = adaptive.run_planned(phase, pool, &mut out, 0..updates, schedule, &kernel);
-        stats.regions += 1;
-        check(&out, format!("adaptive({})", report.strategy))?;
-
-        for ex in &mut fixed {
-            let mut out = vec![T::default(); cfg.n];
-            ex.run_planned(phase, pool, &mut out, 0..updates, schedule, &kernel);
+        let want = sequential::<T, _>(N, updates, &kernel);
+        for (k, ex) in executors.iter_mut().enumerate() {
+            let mut out = vec![T::default(); N];
+            let schedule = Schedule::default();
+            let report = ex.run_planned(phase, pool, &mut out, 0..updates, schedule, &kernel);
+            let who = if k == 0 { "adaptive " } else { "" };
+            let what = format!(
+                "seed {seed}: {who}{}/{}/region{r}",
+                report.strategy,
+                T::NAME
+            );
+            check(&out, &want, &what)?;
             stats.regions += 1;
-            check(&out, ex.strategy().label())?;
         }
     }
-    stats.migrations += adaptive.migrations();
-    if elem == "i64" {
-        stats.strategy_regions = adaptive.strategy_regions().to_vec();
+    stats.migrations += executors[0].migrations();
+    if T::NAME == "i64" {
+        stats.strategy_regions = executors[0].strategy_regions().to_vec();
     }
     Ok(())
 }
 
 /// Differential oracle over the adaptive executor: a multi-region sweep
 /// whose workload shifts from a dense front-loaded stream to a sparse
-/// tail mid-run, executed by an [`crate::ExecutorPolicy::Adaptive`]
-/// executor **and** every fixed candidate over the same regions, each
-/// region compared against the sequential reduction — bit-for-bit for
-/// i64, within reassociation tolerance for f64 (when configured).
+/// tail mid-run, executed by a density-only
+/// [`crate::ExecutorPolicy::Adaptive`] executor **and** every fixed
+/// candidate over the same regions, each region compared against the
+/// sequential reduction — bit-for-bit for i64, within reassociation
+/// tolerance for f64.
 ///
-/// Always compiled: without the `verify` feature (or with no session
-/// installed) migrations come from the cost model alone, and the
-/// dense→sparse shift is steep enough that at least one always fires.
-/// Under an active `verify` session, `migrate_per_mille` plants *forced*
-/// migrations at seed-chosen region boundaries on top — the planted
-/// schedule is a pure function of the session seed, so any failure
-/// replays from one line (see `fuzz::migration_case`).
-pub fn check_adaptive_seed(
-    pool: &ThreadPool,
-    cfg: &OracleCfg,
-    seed: u64,
-) -> Result<AdaptiveStats, Box<Mismatch>> {
+/// Always compiled: with no `verify` session bound, migrations come from
+/// the cost model alone, and the dense→sparse shift is steep enough that
+/// at least one always fires. Under a session, `migrate_per_mille`
+/// plants *forced* migrations at seed-chosen region boundaries on top.
+/// Either way the migration sequence is a pure function of the seed —
+/// independent of the pool's topology.
+pub fn check_adaptive_seed(pool: &ThreadPool, seed: u64) -> Result<AdaptiveStats, String> {
     let mut stats = AdaptiveStats::default();
-    check_adaptive_elem::<i64, _>(pool, cfg, seed, "i64", |a, b| a == b, &mut stats)?;
-    if cfg.check_floats {
-        // Same reassociation-only tolerance as `check_seed`; migration
-        // changes the merge order, never the contribution set, so it
-        // must stay within this band.
-        let same = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-        check_adaptive_elem::<f64, _>(pool, cfg, seed, "f64", same, &mut stats)?;
-    }
+    check_adaptive_elem::<i64>(pool, seed, &mut stats)?;
+    check_adaptive_elem::<f64>(pool, seed, &mut stats)?;
     Ok(stats)
 }
 
@@ -463,286 +336,574 @@ pub fn seed_budget(default: u64) -> u64 {
 
 #[cfg(feature = "verify")]
 pub mod fuzz {
-    //! Schedule fuzzing on top of the differential oracle (requires the
-    //! `verify` feature): each case installs a seeded
-    //! [`ompsim::verify`] controller, so the oracle sweep runs under a
-    //! replayable perturbed interleaving.
+    //! The seeded scenario matrix (requires the `verify` feature).
+    //!
+    //! A seed draws one [`Scenario`]; [`run`] executes it under a seeded
+    //! [`ompsim::verify`] controller and checks every region against the
+    //! sequential reduction, sharded topologies against the flat control,
+    //! and fingerprint-stable scenarios fresh-vs-retained arena scratch.
+    //! [`plant_fault`] cycles the seed through the fault sites, and
+    //! [`broken_case`] is the planted-bug canary.
 
     use super::*;
-    use crate::block::BlockBrokenCasReduction;
-    use crate::reduce;
-    use ompsim::verify::{self, FaultSpec, HookPoint, VerifyConfig, NPOINTS};
+    use crate::block::{BlockReduction, Claim, Ownership};
+    use crate::PlanBudget;
+    use crate::{reduce, DeltaBatch, ExecutorPolicy, Min};
+    use ompsim::verify::{self, Binding, FaultSpec, HookPoint, VerifyConfig, NPOINTS};
+    use ompsim::Topology;
+    use std::fmt;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, Once};
 
-    /// PCT-style parameters derived deterministically from the seed:
-    /// preemption probability, per-thread budget, and (for a quarter of
-    /// seeds) real delays instead of yields.
-    pub fn params_for_seed(seed: u64) -> VerifyConfig {
-        let h = mix64(seed ^ 0x5EED_F00D);
-        VerifyConfig {
-            seed,
-            preempt_per_mille: (50 + h % 450) as u16,
-            budget: (16 + ((h >> 16) % 120)) as u32,
-            delay_nanos: if (h >> 32) % 4 == 0 { 20_000 } else { 0 },
-            migrate_per_mille: 0,
-            fault: None,
+    /// The executor path a scenario drives.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Path {
+        /// `RegionExecutor::run`, retained scratch from region 2 on.
+        Run,
+        /// `run_planned`: recording, then plan replays.
+        Planned,
+        /// `run_delta` churn streams (`Sum` and `Min`).
+        Delta,
+        /// Jobs through a `ReductionService` (run by
+        /// `spray_service::fuzz`, which sees the service crate).
+        Service,
+    }
+
+    /// One seed's draw from the verification matrix.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Scenario {
+        /// The seed everything below (and the controller) derives from.
+        pub seed: u64,
+        /// Team size.
+        pub threads: usize,
+        /// Starting strategy.
+        pub strategy: Strategy,
+        /// Executor path.
+        pub path: Path,
+        /// Emulated machine topology of the pool.
+        pub topology: Topology,
+        /// Scratch budget (unlimited, tight, or zero).
+        pub budget: PlanBudget,
+        /// Adaptive executor plus planted migrations (delta: explicit
+        /// mid-stream migrations).
+        pub migrate: bool,
+        /// Kernel shape ([`KernelKind::of_seed`] unless overridden).
+        pub kernel: KernelKind,
+    }
+
+    impl Scenario {
+        /// Draws seed `seed`'s scenario for a `threads`-wide team.
+        pub fn draw(seed: u64, threads: usize) -> Self {
+            let h = mix64(seed ^ 0x5CE7_A210);
+            let strategies = Strategy::all(BLOCK);
+            let block_bytes = BLOCK * std::mem::size_of::<i64>();
+            let paths = [Path::Run, Path::Planned, Path::Delta, Path::Service];
+            let budgets = [
+                PlanBudget::UNLIMITED,
+                PlanBudget::new(2 * threads * block_bytes),
+                PlanBudget::new(0),
+            ];
+            Scenario {
+                seed,
+                threads,
+                strategy: strategies[(h % strategies.len() as u64) as usize],
+                path: paths[(h >> 8) as usize % paths.len()],
+                topology: match (h >> 12) % 4 {
+                    0 => Topology::new(2, threads.div_ceil(2)),
+                    1 => Topology::new(threads, 1),
+                    _ => Topology::flat(threads),
+                },
+                budget: budgets[(h >> 16) as usize % budgets.len()],
+                migrate: (h >> 20) % 2 == 0,
+                kernel: KernelKind::of_seed(seed),
+            }
+        }
+
+        /// The seed's controller: PCT-style preemption probability and
+        /// per-thread budget, real delays for a quarter of seeds, and a
+        /// high planted-migration rate when `migrate`.
+        pub fn verify_config(&self) -> VerifyConfig {
+            let h = mix64(self.seed ^ 0x5EED_F00D);
+            VerifyConfig {
+                seed: self.seed,
+                preempt_per_mille: (50 + h % 450) as u16,
+                budget: (16 + ((h >> 16) % 120)) as u32,
+                delay_nanos: if (h >> 32) % 4 == 0 { 20_000 } else { 0 },
+                migrate_per_mille: u16::from(self.migrate) * (250 + (h >> 40) % 500) as u16,
+                fault: None,
+            }
+        }
+
+        /// A fresh executor: density-only adaptive over the default
+        /// candidates when `migrate` (so cost-model and planted
+        /// migrations both replay from the seed), fixed otherwise; under
+        /// the scenario's budget either way.
+        fn executor<T: AtomicElement, O: ReduceOp<T>>(&self) -> RegionExecutor<T, O> {
+            let policy = if self.migrate {
+                adaptive_policy()
+            } else {
+                ExecutorPolicy::Fixed
+            };
+            let mut ex = RegionExecutor::with_policy(self.strategy, policy);
+            ex.set_budget(self.budget);
+            ex
+        }
+
+        /// Whether hook totals and merge orders are a pure function of
+        /// the seed: no ownership claims raced on wall-clock timing
+        /// (block-lock/CAS), no team-wide scratch budget handed out
+        /// first-come, no migrations.
+        fn fingerprinted(&self) -> bool {
+            !self.migrate
+                && self.budget == PlanBudget::UNLIMITED
+                && !matches!(
+                    self.strategy,
+                    Strategy::BlockLock { .. } | Strategy::BlockCas { .. }
+                )
         }
     }
 
-    /// Everything one fuzz iteration observed: the oracle verdict plus
-    /// the controller's replay fingerprint.
-    pub struct FuzzOutcome {
-        /// The differential-oracle verdict for this seed.
-        pub result: Result<OracleStats, Box<Mismatch>>,
-        /// Preemptions the controller charged (all threads).
-        pub preemptions: u64,
-        /// Hook crossings, indexed like [`HookPoint::ALL`].
-        pub hook_totals: [u64; NPOINTS],
-        /// Per-thread merge orders (block index sequences).
-        pub merge_orders: Vec<Vec<u64>>,
+    impl fmt::Display for Scenario {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let budget = match self.budget.max_scratch_bytes {
+                usize::MAX => "unlimited".to_string(),
+                b => format!("{b}B"),
+            };
+            write!(
+                f,
+                "seed {}: {} {:?} on {}x{} ({} threads), budget {budget}, {}, {:?}",
+                self.seed,
+                self.strategy.label(),
+                self.path,
+                self.topology.nodes(),
+                self.topology.cores_per_socket(),
+                self.threads,
+                if self.migrate { "migrating" } else { "fixed" },
+                self.kernel,
+            )
+        }
     }
 
-    /// One fuzz iteration: install the seed's controller, run the full
-    /// differential sweep under it, return verdict + fingerprint.
-    pub fn fuzz_case(cfg: &OracleCfg, seed: u64) -> FuzzOutcome {
-        let session = verify::install(params_for_seed(seed));
-        let pool = ThreadPool::new(cfg.threads);
-        let result = check_seed(&pool, cfg, seed);
-        drop(pool);
-        let merge_orders = (0..cfg.threads.min(verify::MAX_THREADS))
+    /// What one scenario (or fault plant) observed.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct Outcome {
+        /// Regions (delta rounds, service jobs) checked.
+        pub regions: usize,
+        /// `("strategy/elem/region", counter totals)` per region of the
+        /// main leg's i64 sweep, in order.
+        pub reports: Reports,
+        /// Hook crossings summed over every session of the scenario,
+        /// indexed like [`HookPoint::ALL`].
+        pub hook_totals: [u64; NPOINTS],
+        /// The main leg's per-thread merge orders (block sequences).
+        pub merge_orders: Vec<Vec<u64>>,
+        /// Preemptions the controllers charged.
+        pub preemptions: u64,
+        /// Strategy migrations performed.
+        pub migrations: u64,
+        /// Delta retractions applied.
+        pub retractions: u64,
+    }
+
+    impl Outcome {
+        /// Folds another leg's counts into this one (the merge orders and
+        /// reports stay the main leg's).
+        pub fn absorb(&mut self, o: Outcome) {
+            self.regions += o.regions;
+            for (t, x) in self.hook_totals.iter_mut().zip(o.hook_totals) {
+                *t += x;
+            }
+            self.preemptions += o.preemptions;
+            self.migrations += o.migrations;
+            self.retractions += o.retractions;
+        }
+    }
+
+    /// Installs the scenario's controller, runs `body` (which owns, and
+    /// drops, every pool it forks), and records the session's
+    /// fingerprint into the outcome.
+    pub fn under_session<R>(
+        sc: &Scenario,
+        body: impl FnOnce(&mut Outcome) -> Result<R, String>,
+    ) -> Result<(R, Outcome), String> {
+        let session = verify::install(sc.verify_config());
+        let mut o = Outcome::default();
+        let r = body(&mut o)?;
+        o.hook_totals = session.totals();
+        o.preemptions = session.preemptions();
+        o.merge_orders = (0..sc.threads.min(verify::MAX_THREADS))
             .map(|t| session.merge_order(t))
             .collect();
-        FuzzOutcome {
-            result,
-            preemptions: session.preemptions(),
-            hook_totals: session.totals(),
-            merge_orders,
+        Ok((r, o))
+    }
+
+    /// One [`leg`] of the scenario's kernel and path on `topo`, under
+    /// the scenario's session (`retain` as in [`leg`]).
+    fn kernel_leg<T: OracleElem>(
+        sc: &Scenario,
+        topo: Topology,
+        retain: bool,
+    ) -> Result<(Vec<Vec<T>>, Outcome), String>
+    where
+        Sum: ReduceOp<T>,
+        OracleKernel: Kernel<T>,
+    {
+        under_session(sc, |o| {
+            let pool = ThreadPool::with_topology(sc.threads, topo);
+            let (kind, n, seed) = (sc.kernel, N, sc.seed);
+            let kernel = OracleKernel { kind, n, seed };
+            let (planned, schedule) = (sc.path == Path::Planned, Schedule::default());
+            let reports = &mut o.reports;
+            let (outs, migrations) = leg(
+                &pool,
+                || sc.executor(),
+                planned,
+                retain,
+                schedule,
+                &kernel,
+                reports,
+            )
+            .map_err(|e| format!("{sc}: {e}"))?;
+            o.regions += outs.len();
+            o.migrations = migrations;
+            Ok(outs)
+        })
+    }
+
+    /// Runs scenario `sc` (any path but [`Path::Service`]) and returns
+    /// what it observed; `Err` names the first divergence.
+    pub fn run(sc: &Scenario) -> Result<Outcome, String> {
+        let fail = |what: String| Err(format!("{sc}: {what}"));
+        match sc.path {
+            Path::Run | Path::Planned => {
+                let (main, mut o) = kernel_leg::<i64>(sc, sc.topology, true)?;
+                if sc.path == Path::Run && sc.fingerprinted() {
+                    // Storage is an implementation detail: recycled arena
+                    // blocks must not change a single hook crossing.
+                    let (_, fresh) = kernel_leg::<i64>(sc, sc.topology, false)?;
+                    if (fresh.hook_totals, &fresh.merge_orders) != (o.hook_totals, &o.merge_orders)
+                    {
+                        return fail(format!(
+                            "fresh vs retained arena scratch diverged: hooks {:?} vs {:?}, \
+                             merge orders {:?} vs {:?}",
+                            fresh.hook_totals, o.hook_totals, fresh.merge_orders, o.merge_orders
+                        ));
+                    }
+                    o.absorb(fresh);
+                }
+                if !sc.topology.is_flat() {
+                    // Topology is a routing choice, never a semantics
+                    // choice: i64 sums are exact, so sharded results must
+                    // be bit-identical to the flat control.
+                    let (flat, f) = kernel_leg::<i64>(sc, Topology::flat(sc.threads), true)?;
+                    if let Some(r) = (0..REGIONS).find(|&r| flat[r] != main[r]) {
+                        return fail(format!("region {r} diverged from the flat control"));
+                    }
+                    o.absorb(f);
+                }
+                o.absorb(kernel_leg::<f64>(sc, sc.topology, true)?.1);
+                Ok(o)
+            }
+            Path::Delta => under_session(sc, |o| {
+                let pool = &ThreadPool::with_topology(sc.threads, sc.topology);
+                let mut h = mix64(sc.seed ^ 0xDE17_A5EE);
+                let mut step = move || {
+                    h = mix64(h.wrapping_add(0x9E37_79B9_7F4A_7C15));
+                    h
+                };
+                delta_stream::<Sum>(sc, pool, &mut step, o)?;
+                delta_stream::<Min>(sc, pool, &mut step, o)
+            })
+            .map(|(_, o)| o),
+            Path::Service => fail("the service path runs in spray_service::fuzz".into()),
         }
     }
 
-    /// Forced-migration fuzz parameters, derived deterministically from
-    /// the seed: moderate preemption plus a high
-    /// `migrate_per_mille`, so most seeds plant at least one forced
-    /// migration somewhere in the adaptive sweep's decision stream.
-    pub fn migration_params_for_seed(seed: u64) -> VerifyConfig {
-        let h = mix64(seed ^ 0x4D16_7A7E);
-        VerifyConfig {
-            seed,
-            preempt_per_mille: (50 + h % 250) as u16,
-            budget: (16 + ((h >> 16) % 64)) as u32,
-            delay_nanos: 0,
-            migrate_per_mille: (250 + ((h >> 24) % 500)) as u16,
-            fault: None,
+    /// Streams six seeded churn batches — pushes of fresh tags plus
+    /// retractions of earlier rounds' live tags — through `run_delta`,
+    /// each round bit-identical to folding the surviving contributions
+    /// from scratch. `Sum` retracts through its exact inverse; `Min` has
+    /// none and refolds dirty blocks from the log, so a retracted minimum
+    /// must resurface the runner-up. Every third round scatters
+    /// array-wide to trip the full-refold fallback, and migrating
+    /// scenarios switch strategy mid-stream (onto the segmented reducer,
+    /// whose retained scratch must be invalidated for dirty blocks).
+    fn delta_stream<O: ReduceOp<i64>>(
+        sc: &Scenario,
+        pool: &ThreadPool,
+        step: &mut impl FnMut() -> u64,
+        o: &mut Outcome,
+    ) -> Result<(), String> {
+        let n = 768usize;
+        let init: Vec<i64> = (0..n).map(|i| (i as i64 % 17) - 8).collect();
+        let mut out = init.clone();
+        let mut ex = sc.executor::<i64, O>();
+        let mut live: Vec<(usize, u64, i64)> = Vec::new();
+        let mut tag = 0u64;
+        for round in 0..6usize {
+            let mut batch = DeltaBatch::new();
+            for _ in 0..6 {
+                if live.len() > 3 {
+                    let (idx, t, _) = live.remove(step() as usize % live.len());
+                    batch.retract(idx, t);
+                    o.retractions += 1;
+                }
+            }
+            let base = round * 131 % n;
+            for _ in 0..40 {
+                let idx = if round % 3 == 2 {
+                    step() as usize % n
+                } else {
+                    (base + step() as usize % 128) % n
+                };
+                let val = (step() % 1001) as i64 - 500;
+                batch.push(idx, tag, val);
+                live.push((idx, tag, val));
+                tag += 1;
+            }
+            ex.run_delta(pool, &mut out, &batch);
+            o.regions += 1;
+            let mut want = init.clone();
+            for &(idx, _, v) in &live {
+                want[idx] = O::combine(want[idx], v);
+            }
+            if out != want {
+                let op = std::any::type_name::<O>();
+                return Err(format!(
+                    "{sc}: {op} delta round {round} diverged from full replay"
+                ));
+            }
+            match (sc.migrate, round) {
+                (true, 1) => ex.migrate_to(Strategy::Segmented { bucket_bits: 4 }),
+                (true, 3) => ex.migrate_to(Strategy::Atomic),
+                _ => {}
+            }
         }
+        o.migrations += ex.migrations();
+        Ok(())
     }
 
-    /// Everything one forced-migration fuzz iteration observed.
-    pub struct MigrationOutcome {
-        /// The adaptive differential-oracle verdict for this seed.
-        pub result: Result<AdaptiveStats, Box<Mismatch>>,
-        /// Migrations the adaptive executors performed (planted +
-        /// cost-model).
-        pub migrations: u64,
-        /// [`HookPoint::MigrationDecision`] crossings the controller saw
-        /// (region boundaries + mid-drain crossings).
-        pub decision_crossings: u64,
+    /// The session whose injected panics the process panic hook keeps
+    /// quiet while [`plant`] runs its region; `None` outside a plant.
+    static PLANTING: Mutex<Option<Binding>> = Mutex::new(None);
+
+    fn planting() -> std::sync::MutexGuard<'static, Option<Binding>> {
+        PLANTING.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// One forced-migration fuzz iteration: install the seed's
-    /// controller (preemption + planted migrations), run
-    /// [`check_adaptive_seed`] under it, return verdict + counts. The
-    /// planted migration schedule is a pure function of the seed and
-    /// the (serialized) region order, so a failing seed replays exactly
-    /// from `schedule_fuzz --migrations --seed-start <seed> --seeds 1`.
-    pub fn migration_case(cfg: &OracleCfg, seed: u64) -> MigrationOutcome {
-        let session = verify::install(migration_params_for_seed(seed));
-        let pool = ThreadPool::new(cfg.threads);
-        let result = check_adaptive_seed(&pool, cfg, seed);
-        drop(pool);
-        let decision_crossings = session.total(HookPoint::MigrationDecision);
-        MigrationOutcome {
-            migrations: result.as_ref().map(|s| s.migrations).unwrap_or(0),
-            result,
-            decision_crossings,
-        }
-    }
-
-    /// One migration fault-injection iteration: plant a panic at a
-    /// seed-chosen [`HookPoint::MigrationDecision`] crossing — which,
-    /// under the seed's high forced-migration rate, frequently lands on
-    /// the crossing *inside* a migration drain — and demand that (a)
-    /// the sweep panics instead of deadlocking or corrupting state, and
-    /// (b) the same pool then reruns the sweep unperturbed to the exact
-    /// sequential result (no updates lost to the aborted migration).
-    pub fn migration_fault_case(threads: usize, seed: u64) -> Result<(), String> {
-        let h = mix64(seed ^ 0x4D16_FA17);
-        // The sweep crosses the decision hook once per adaptive region
-        // (16+ per sweep) plus once per migration drain; the first few
-        // crossings are always reachable.
-        let nth = 1 + h % 6;
-        let mut cfg = OracleCfg::quick(threads);
-        cfg.check_floats = false;
-
+    /// Installs `fault` (behind moderate preemption and
+    /// `migrate_per_mille` planted migrations), runs `region` and demands
+    /// that it panics — poison, never a deadlock or a silent pass — then
+    /// reruns `region` unperturbed on the same pool and executor and
+    /// demands its exact result.
+    fn plant(
+        seed: u64,
+        fault: FaultSpec,
+        migrate_per_mille: u16,
+        mut region: impl FnMut() -> Result<(), String>,
+    ) -> Result<(), String> {
+        // The injected panic (and the teammates it poisons) would spam
+        // stderr: one hook, installed once, silences the threads bound to
+        // the planting session and defers to the previous hook for every
+        // other thread, so a sibling's panic keeps its message.
+        static QUIET: Once = Once::new();
+        QUIET.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if *planting() != Some(verify::binding()) {
+                    prev(info);
+                }
+            }));
+        });
         let session = verify::install(VerifyConfig {
             seed,
             preempt_per_mille: 100,
             budget: 64,
             delay_nanos: 0,
-            migrate_per_mille: 700,
-            fault: Some(FaultSpec {
-                tid: 0, // ignored: migration faults match on `nth` alone
-                point: HookPoint::MigrationDecision,
-                nth,
-            }),
+            migrate_per_mille,
+            fault: Some(fault),
         });
-        let pool = ThreadPool::new(threads);
-        // The injected panic would spam stderr through the default hook;
-        // the session lock already serializes fault cases, so a
-        // temporary silent hook is safe.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        *planting() = Some(verify::binding());
         let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            let _ = check_adaptive_seed(&pool, &cfg, seed);
+            let _ = region();
         }))
         .is_err();
-        std::panic::set_hook(default_hook);
-        if !poisoned {
-            return Err(format!(
-                "seed {seed}: injected fault at migration_decision #{nth} never fired"
-            ));
-        }
+        *planting() = None;
         drop(session);
-
-        // The pool must survive the aborted migration (the fault fires
-        // on the orchestrating thread, between regions), and an
-        // unperturbed rerun must be exact — nothing drained into the
-        // void.
-        match check_adaptive_seed(&pool, &cfg, seed) {
-            Ok(_) => Ok(()),
-            Err(m) => Err(format!(
-                "seed {seed}: post-fault rerun diverged after migration_decision #{nth}: {m}"
-            )),
+        let at = format!(
+            "seed {seed}: fault at {} #{} on tid {}",
+            fault.point.name(),
+            fault.nth,
+            fault.tid
+        );
+        if !poisoned {
+            return Err(format!("{at} never fired"));
         }
+        region().map_err(|e| format!("{at}: post-fault rerun: {e}"))
     }
 
-    /// Arena-retention fingerprint check: the seeded controller must see
-    /// the **same** hook sequence whether a region runs on freshly
-    /// allocated arena slabs or on scratch retained (and
-    /// identity-refilled) from a previous region. Storage is an
-    /// implementation detail — if recycled arena blocks changed any hook
-    /// crossing (an extra privatization, a skipped merge step, a
-    /// reordered drain) the replay fingerprint would no longer be a pure
-    /// function of the seed and one-line repros would lie. Two legs:
-    ///
-    /// 1. fixed-strategy regions (block-private + hybrid, the two arena
-    ///    planes) run `fresh` (new executor, new arena, per region) and
-    ///    `retained` (one executor, recycled scratch) under the same
-    ///    seeded controller — hook totals and per-thread merge orders
-    ///    must match exactly;
-    /// 2. two identical planted-migration adaptive sweeps — whose drain
-    ///    path merges out of arena-backed retained scratch — must agree
-    ///    on migration and decision-crossing counts.
-    ///
-    /// Returns `Err` describing the first divergence.
-    pub fn arena_case(threads: usize, seed: u64) -> Result<(), String> {
-        let n = 256usize;
-        let block_size = 32usize;
-        let updates = 8 * n;
-        let regions = 3usize;
-        let strategies = [
-            Strategy::BlockPrivate { block_size },
-            Strategy::Hybrid {
-                block_size,
-                threshold: 1,
-            },
-        ];
+    const CAS: Strategy = Strategy::BlockCas { block_size: BLOCK };
+    const PRIVATE: Strategy = Strategy::BlockPrivate { block_size: BLOCK };
+    const SEGMENTED: Strategy = Strategy::Segmented { bucket_bits: 2 };
 
-        let kernel = ScatterKernel { n, seed };
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
+    /// Fixed-strategy fault sites: the strategy, the hook planted, and
+    /// the crossings per thread that are always reachable.
+    const REGION_SITES: [(Strategy, HookPoint, u64); 9] = [
+        (CAS, HookPoint::BarrierEnter, 1), // once per thread per region
+        (CAS, HookPoint::SharedWrite, 3),
+        (CAS, HookPoint::OwnershipClaim, 3),
+        (PRIVATE, HookPoint::MergeStep, 3),
+        (Strategy::Keeper, HookPoint::QueueDrain, 2), // once per writer
+        (Strategy::Keeper, HookPoint::BarrierEnter, 1),
+        (Strategy::Keeper, HookPoint::QueuePush, 3),
+        // Keeper on two emulated nodes: the fault lands mid-route, where
+        // a misroute would corrupt a neighbor's shard.
+        (Strategy::Keeper, HookPoint::ShardRoute, 3),
+        // Zero budget: every bucket fill spills to the overflow run.
+        (SEGMENTED, HookPoint::BucketSpill, 3),
+    ];
 
-        // Runs `regions` identical regions per strategy under the seed's
-        // controller and returns the fingerprint. `retain` reuses one
-        // executor, so regions after the first run on recycled,
-        // identity-refilled arena scratch; otherwise every region gets a
-        // fresh executor and therefore a fresh arena.
-        let fingerprint = |retain: bool| -> Result<([u64; NPOINTS], Vec<Vec<u64>>), String> {
-            let session = verify::install(params_for_seed(seed));
+    /// Fault sites [`plant_fault`] cycles through: the region sites, a
+    /// migration decision, and a delta staging fault on the parallel and
+    /// on the serial staging path.
+    pub const FAULT_SITES: u64 = REGION_SITES.len() as u64 + 3;
+
+    /// Plants seed `seed`'s fault — site `seed % FAULT_SITES`, with a
+    /// seed-drawn thread and crossing — via `plant`. A fault that never
+    /// fires is an error, so every plant proves its hook was crossed.
+    pub fn plant_fault(threads: usize, seed: u64) -> Result<(), String> {
+        // Queue pushes and cross-node routes need a teammate.
+        let threads = threads.max(2);
+        let h = mix64(seed ^ 0xFA17);
+        let tid = (h >> 8) as usize % threads;
+        let site = (seed % FAULT_SITES) as usize;
+        if let Some(&(strategy, point, reach)) = REGION_SITES.get(site) {
+            let n = 256usize;
+            let topo = if point == HookPoint::ShardRoute {
+                Topology::new(2, threads.div_ceil(2))
+            } else {
+                Topology::flat(threads)
+            };
+            let pool = ThreadPool::with_topology(threads, topo);
+            let mut ex = RegionExecutor::<i64, Sum>::new(strategy);
+            if point == HookPoint::BucketSpill {
+                ex.set_budget(PlanBudget::new(0));
+            }
+            let (kind, nth) = (KernelKind::RoundRobin, 1 + (h >> 16) % reach);
+            let kernel = OracleKernel { kind, n, seed };
+            let want = sequential::<i64, _>(n, 16 * n, &kernel);
+            return plant(seed, FaultSpec { tid, point, nth }, 0, || {
+                let mut out = vec![0i64; n];
+                ex.run(&pool, &mut out, 0..16 * n, Schedule::default(), &kernel);
+                check(&out, &want, &strategy.label())
+            });
+        }
+        if site == REGION_SITES.len() {
+            // Crossed once per adaptive region plus once per migration
+            // drain — under a 70% planted-migration rate the fault often
+            // lands inside a drain. `tid` is ignored at this point.
             let pool = ThreadPool::new(threads);
-            for &strategy in &strategies {
-                let mut ex = RegionExecutor::<i64, Sum>::new(strategy);
-                for r in 0..regions {
-                    if !retain && r > 0 {
-                        ex = RegionExecutor::new(strategy);
-                    }
-                    let mut out = vec![0i64; n];
-                    ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-                    if out != want {
-                        return Err(format!(
-                            "seed {seed}: {} region {r} ({} scratch) diverged from sequential",
-                            strategy.label(),
-                            if retain { "retained" } else { "fresh" },
-                        ));
-                    }
-                }
-            }
-            drop(pool);
-            let orders = (0..threads.min(verify::MAX_THREADS))
-                .map(|t| session.merge_order(t))
-                .collect();
-            Ok((session.totals(), orders))
-        };
-
-        let (fresh_totals, fresh_orders) = fingerprint(false)?;
-        let (retained_totals, retained_orders) = fingerprint(true)?;
-        for (p, (&f, &r)) in fresh_totals.iter().zip(retained_totals.iter()).enumerate() {
-            if f != r {
-                return Err(format!(
-                    "seed {seed}: hook {} crossed {f} times on fresh scratch but {r} on \
-                     retained arena scratch",
-                    HookPoint::ALL[p].name()
-                ));
-            }
+            let (point, nth) = (HookPoint::MigrationDecision, 1 + h % 6);
+            let fault = FaultSpec { tid: 0, point, nth };
+            return plant(seed, fault, 700, || {
+                check_adaptive_seed(&pool, seed).map(drop)
+            });
         }
-        if fresh_orders != retained_orders {
-            return Err(format!(
-                "seed {seed}: per-thread merge orders diverged between fresh and retained \
-                 arena scratch: fresh {fresh_orders:?}, retained {retained_orders:?}"
-            ));
-        }
-
-        // Migration-drain leg: the drain merges out of arena-backed
-        // retained scratch, and its serialized decision stream must stay
-        // a pure function of the seed.
-        let mut cfg = OracleCfg::quick(threads);
-        cfg.check_floats = false;
-        let drain = || -> Result<(u64, u64), String> {
-            let outcome = migration_case(&cfg, seed);
-            outcome
-                .result
-                .map_err(|m| format!("seed {seed}: migration leg: {m}"))?;
-            Ok((outcome.migrations, outcome.decision_crossings))
-        };
-        let first = drain()?;
-        let second = drain()?;
-        if first != second {
-            return Err(format!(
-                "seed {seed}: migration drain fingerprint (migrations, decision crossings) \
-                 diverged across identical seeded runs: {first:?} vs {second:?}"
-            ));
-        }
-        Ok(())
+        delta_fault(threads, seed, site == REGION_SITES.len() + 2, tid, h)
     }
 
-    /// The planted-bug canary: runs the deliberately broken block-CAS
-    /// reduction (ownership CAS dropped — see
-    /// [`crate::block::BlockBrokenCasReduction`]) under the seed's
-    /// controller, with every thread hammering one block. Returns `true`
-    /// when the schedule exposed the race (lost updates), i.e. the
-    /// fuzzer *caught* the bug on this seed.
+    /// A `DeltaApply` fault mid-stage, before anything commits: the
+    /// committed result must survive bit-for-bit, and the same batch must
+    /// then replay exactly. `serial` churns one block, which stages on
+    /// the caller (bound as tid 0); otherwise all 16 blocks stage across
+    /// the team, each thread crossing the hook at least twice.
+    fn delta_fault(
+        threads: usize,
+        seed: u64,
+        serial: bool,
+        tid: usize,
+        h: u64,
+    ) -> Result<(), String> {
+        let (n, per_elem) = (1024usize, 10usize);
+        let pool = ThreadPool::new(threads);
+        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::BlockCas { block_size: 64 });
+        let mut out = vec![0i64; n];
+        // Ten live contributions per element, committed unperturbed:
+        // heavy logs push staging onto the parallel path.
+        let mut base = DeltaBatch::new();
+        for i in 0..per_elem * n {
+            base.push(i % n, i as u64, 1);
+        }
+        ex.run_delta(&pool, &mut out, &base);
+        let committed = out.clone();
+        // Retract one baseline tag per churned block and replace it.
+        let mut churn = DeltaBatch::new();
+        let mut want = committed.clone();
+        for b in 0..if serial { 1 } else { n >> 6 } {
+            let idx = (b << 6) + mix64(h ^ b as u64) as usize % 64;
+            churn.retract(idx, idx as u64);
+            churn.push(idx, (per_elem * n + b) as u64, -5);
+            want[idx] -= 1 + 5;
+        }
+        let (tid, nth) = if serial {
+            (0, 1)
+        } else {
+            (tid, 1 + (h >> 16) % 2)
+        };
+        let point = HookPoint::DeltaApply;
+        plant(seed, FaultSpec { tid, point, nth }, 0, || {
+            if out != committed {
+                return Err("the poisoned batch corrupted the committed result".into());
+            }
+            ex.run_delta(&pool, &mut out, &churn);
+            if out == want {
+                Ok(())
+            } else {
+                Err("delta replay diverged from the full fold".into())
+            }
+        })
+    }
+
+    /// **Deliberately broken** block ownership for the canary: block-CAS
+    /// with the CAS split into load, hook, store. Two threads can both
+    /// observe the block unowned (or steal each other's claim) and both
+    /// write it directly, dropping updates — the exact class of bug the
+    /// real protocol prevents, which the fuzzer must be able to see.
+    struct BrokenCas(Vec<AtomicUsize>);
+
+    impl Ownership for BrokenCas {
+        const DIRECT: bool = true;
+        fn new(nblocks: usize) -> Self {
+            BrokenCas((0..nblocks).map(|_| AtomicUsize::new(usize::MAX)).collect())
+        }
+        fn try_claim(&self, b: usize, tid: usize) -> Claim {
+            let cur = self.0[b].load(Ordering::Relaxed);
+            verify::perturb_idx(HookPoint::OwnershipClaim, b as u64);
+            if cur == tid {
+                Claim::Retained
+            } else {
+                self.0[b].store(tid, Ordering::Relaxed);
+                Claim::Won
+            }
+        }
+        fn reset(&self) {
+            self.0
+                .iter()
+                .for_each(|w| w.store(usize::MAX, Ordering::Relaxed));
+        }
+        fn footprint(&self) -> usize {
+            self.0.len() * std::mem::size_of::<usize>()
+        }
+    }
+
+    /// The planted-bug canary: the broken block-CAS reduction under the
+    /// seed's controller, every thread hammering one block — element
+    /// applies on even seeds, `apply_run` on odd ones. Returns `true`
+    /// when the schedule exposed the race (lost updates), i.e. the fuzzer
+    /// *caught* the bug on this seed.
     pub fn broken_case(threads: usize, seed: u64) -> bool {
-        let n = 64;
-        let updates = 20_000usize;
+        let (n, updates) = (64usize, 20_000usize);
         let session = verify::install(VerifyConfig {
             seed,
             preempt_per_mille: 120,
@@ -753,714 +914,18 @@ pub mod fuzz {
         });
         let pool = ThreadPool::new(threads);
         let mut out = vec![0i64; n];
-        let red = BlockBrokenCasReduction::<i64, Sum>::new(&mut out, threads, n);
-        // Odd seeds race through the batched `apply_run` path instead of
-        // element applies (same kernel choice as `check_seed`).
-        let stencil = StencilKernel { n, seed };
+        let red = BlockReduction::<i64, Sum, BrokenCas>::with_flavor(
+            &mut out,
+            threads,
+            n,
+            "block-brokenCAS",
+        );
+        let kernel = OracleKernel::of_seed(n, seed);
         reduce(&pool, &red, 0..updates, Schedule::default(), |v, i| {
-            if seed % 2 == 0 {
-                let h = mix64(seed ^ i as u64);
-                v.apply((h as usize) % n, 1);
-            } else {
-                stencil.item(v, i);
-            }
+            kernel.item(v, i)
         });
-        drop(red);
-        drop(pool);
-        drop(session);
-        // Every contribution is positive, so any schedule that loses an
-        // update shows up as a short total.
-        let got: i64 = out.iter().sum();
-        let want: i64 = if seed % 2 == 0 {
-            updates as i64
-        } else {
-            let mut want = vec![0i64; n];
-            reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| stencil.item(v, i));
-            want.iter().sum()
-        };
-        got != want
-    }
-
-    /// Round-robin kernel: iteration `i` hits `i % n`. With a static
-    /// schedule every thread deterministically touches every block,
-    /// enqueues remote keeper traffic, and merges at least one block —
-    /// which makes every fault point below *guaranteed reachable*.
-    struct RoundRobinKernel {
-        n: usize,
-    }
-
-    impl Kernel<i64> for RoundRobinKernel {
-        #[inline(always)]
-        fn item<V: ReducerView<i64>>(&self, view: &mut V, i: usize) {
-            view.apply(i % self.n, 1);
-        }
-    }
-
-    /// One fault-injection iteration: derive a guaranteed-reachable
-    /// `(strategy, hook, tid)` from the seed, inject a panic at that
-    /// crossing, and demand that (a) the region panics instead of
-    /// deadlocking, and (b) the same pool and executor then run the
-    /// region cleanly to the exact sequential result — proving the
-    /// barrier's panic detection and the executor's scratch/plan
-    /// recovery survive a mid-region death.
-    pub fn fault_case(threads: usize, seed: u64) -> Result<(), String> {
-        let n = 256usize;
-        let block_size = 32usize;
-        let updates = 16 * n;
-        let h = mix64(seed ^ 0xFA17);
-
-        let mut combos: Vec<(Strategy, HookPoint)> = vec![
-            (Strategy::BlockCas { block_size }, HookPoint::BarrierEnter),
-            (Strategy::BlockCas { block_size }, HookPoint::SharedWrite),
-            (Strategy::BlockCas { block_size }, HookPoint::OwnershipClaim),
-            (Strategy::BlockPrivate { block_size }, HookPoint::MergeStep),
-            (Strategy::Keeper, HookPoint::QueueDrain),
-            (Strategy::Keeper, HookPoint::BarrierEnter),
-        ];
-        if threads > 1 {
-            combos.push((Strategy::Keeper, HookPoint::QueuePush));
-        }
-        let (strategy, point) = combos[(h % combos.len() as u64) as usize];
-        let tid = ((h >> 8) % threads as u64) as usize;
-        // Low crossing numbers are reachable for every point above;
-        // BarrierEnter is crossed exactly once per thread per region.
-        let nth = if point == HookPoint::BarrierEnter {
-            1
-        } else {
-            1 + (h >> 16) % 3
-        };
-
-        let session = verify::install(VerifyConfig {
-            seed,
-            preempt_per_mille: 100,
-            budget: 64,
-            delay_nanos: 0,
-            migrate_per_mille: 0,
-            fault: Some(FaultSpec { tid, point, nth }),
-        });
-        let pool = ThreadPool::new(threads);
-        let kernel = RoundRobinKernel { n };
-        let mut ex = RegionExecutor::<i64, Sum>::new(strategy);
-        let mut out = vec![0i64; n];
-        // The injected panic (and the teammates it poisons) would spam
-        // stderr through the default hook; the session lock already
-        // serializes fault cases, so a temporary silent hook is safe.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        }))
-        .is_err();
-        std::panic::set_hook(default_hook);
-        if !poisoned {
-            return Err(format!(
-                "seed {seed}: injected fault at {} #{nth} on tid {tid} ({}) never fired",
-                point.name(),
-                strategy.label()
-            ));
-        }
-        drop(session);
-
-        // The pool and the executor must both survive the poisoned
-        // region: rerun the same region on the same objects, unperturbed,
-        // and demand the exact sequential result.
-        let mut out = vec![0i64; n];
-        ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-        if out != want {
-            return Err(format!(
-                "seed {seed}: post-fault rerun of {} diverged after {} fault on tid {tid}",
-                strategy.label(),
-                point.name()
-            ));
-        }
-        Ok(())
-    }
-
-    /// Everything one NUMA-sharding fuzz iteration observed.
-    pub struct NumaOutcome {
-        /// `Ok` when every (strategy, topology, region) result was
-        /// bit-identical to the flat control (itself checked against the
-        /// sequential reduction).
-        pub result: Result<(), String>,
-        /// Preemptions the controller charged (all threads).
-        pub preemptions: u64,
-        /// [`HookPoint::ShardRoute`] crossings — proof the sweep drove
-        /// cross-node traffic through the sharded legs.
-        pub shard_routes: u64,
-    }
-
-    /// One NUMA differential iteration: the same seeded scatter runs
-    /// under a **flat** topology (the control, checked bit-exactly
-    /// against the sequential reduction) and under three emulated
-    /// sharded topologies — `1xT` (one node, sharding machinery engaged
-    /// but boundary-free), `2x⌈T/2⌉` (the interesting case: real
-    /// cross-node traffic) and `Tx1` (every thread its own node, all
-    /// remote) — for every strategy, each leg running a recording region
-    /// plus a planned replay so the node-local merge schedules and
-    /// per-node arena pools are exercised. Topology is a *routing*
-    /// choice, never a semantics choice: element→owner is identical to
-    /// the flat partition (see `crate::shared::node_shard`), and i64
-    /// sums are exactly associative, so every sharded result must be
-    /// **bit-identical** to the flat control under any interleaving the
-    /// seeded controller produces. Any divergence is sharding
-    /// corruption, not reassociation.
-    pub fn numa_case(threads: usize, seed: u64) -> NumaOutcome {
-        let n = 512usize;
-        let updates = 8 * n;
-        let block_size = 32usize;
-        let regions = 2usize; // recording + one planned replay
-        let kernel = ScatterKernel { n, seed };
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-
-        let topologies = [
-            ompsim::Topology::new(1, threads.max(1)),
-            ompsim::Topology::new(2, threads.div_ceil(2).max(1)),
-            ompsim::Topology::new(threads.max(1), 1),
-        ];
-        let session = verify::install(params_for_seed(seed));
-        let mut result = Ok(());
-        'sweep: for strategy in Strategy::all(block_size) {
-            // Flat control leg.
-            let run_leg = |topo: ompsim::Topology| -> Vec<Vec<i64>> {
-                let pool = ThreadPool::with_topology(threads, topo);
-                let mut ex = RegionExecutor::<i64, Sum>::new(strategy);
-                (0..regions)
-                    .map(|_| {
-                        let mut out = vec![0i64; n];
-                        ex.run_planned(
-                            1,
-                            &pool,
-                            &mut out,
-                            0..updates,
-                            Schedule::default(),
-                            &kernel,
-                        );
-                        out
-                    })
-                    .collect()
-            };
-            let flat = run_leg(ompsim::Topology::flat(threads));
-            for (r, out) in flat.iter().enumerate() {
-                if out != &want {
-                    result = Err(format!(
-                        "seed {seed}: {} flat region {r} diverged from sequential",
-                        strategy.label()
-                    ));
-                    break 'sweep;
-                }
-            }
-            for topo in topologies {
-                let sharded = run_leg(topo);
-                for (r, out) in sharded.iter().enumerate() {
-                    if out != &flat[r] {
-                        let i = out.iter().zip(&flat[r]).position(|(a, b)| a != b);
-                        result = Err(format!(
-                            "seed {seed}: {} on {}x{} region {r} diverged from flat at index {:?}",
-                            strategy.label(),
-                            topo.nodes(),
-                            topo.cores_per_socket(),
-                            i
-                        ));
-                        break 'sweep;
-                    }
-                }
-            }
-        }
-        NumaOutcome {
-            result,
-            preemptions: session.preemptions(),
-            shard_routes: session.total(HookPoint::ShardRoute),
-        }
-    }
-
-    /// One NUMA fault-injection iteration: on an emulated two-node
-    /// topology, plant a panic at a seed-chosen
-    /// [`HookPoint::ShardRoute`] crossing — the hook fires only when a
-    /// keeper apply routes a contribution to the *other* node's shard,
-    /// so the fault lands mid-route, exactly where a misroute would
-    /// corrupt a neighbor's range — and demand that (a) the region
-    /// panics (poison, not corruption), and (b) the same pool and
-    /// executor then rerun unperturbed to the exact sequential result.
-    pub fn numa_fault_case(threads: usize, seed: u64) -> Result<(), String> {
-        let threads = threads.max(2); // one node cannot route cross-node
-        let n = 256usize;
-        let updates = 16 * n;
-        let topo = ompsim::Topology::new(2, threads.div_ceil(2));
-        let h = mix64(seed ^ 0x57A2_D007);
-        let tid = ((h >> 8) % threads as u64) as usize;
-        // Round-robin traffic crosses the shard boundary on every thread
-        // many times per region; low crossing numbers always fire.
-        let nth = 1 + h % 3;
-
-        let session = verify::install(VerifyConfig {
-            seed,
-            preempt_per_mille: 100,
-            budget: 64,
-            delay_nanos: 0,
-            migrate_per_mille: 0,
-            fault: Some(FaultSpec {
-                tid,
-                point: HookPoint::ShardRoute,
-                nth,
-            }),
-        });
-        let pool = ThreadPool::with_topology(threads, topo);
-        let kernel = RoundRobinKernel { n };
-        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::Keeper);
-        let mut out = vec![0i64; n];
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        }))
-        .is_err();
-        std::panic::set_hook(default_hook);
-        if !poisoned {
-            return Err(format!(
-                "seed {seed}: injected fault at shard_route #{nth} on tid {tid} never fired"
-            ));
-        }
-        drop(session);
-
-        // The pool and executor must survive the poisoned region: rerun
-        // unperturbed on the same objects and demand the exact result —
-        // no update may have leaked into another node's shard.
-        let mut out = vec![0i64; n];
-        ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-        if out != want {
-            return Err(format!(
-                "seed {seed}: post-fault rerun diverged after shard_route #{nth} on tid {tid}"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Everything one segmented fuzz iteration observed.
-    pub struct SegmentedOutcome {
-        /// `Ok` when every (bucket_bits, budget, region) combination
-        /// matched the sequential reduction bit-for-bit.
-        pub result: Result<(), String>,
-        /// Preemptions the controller charged (all threads).
-        pub preemptions: u64,
-        /// [`HookPoint::BucketSpill`] crossings — part of the replay
-        /// fingerprint, and proof the sweep exercised the spill paths.
-        pub bucket_spills: u64,
-    }
-
-    /// One segmented fuzz iteration: sweep the two-level segmented
-    /// reducer across bucket granularities and scratch budgets —
-    /// including a zero budget, which forces every bucket fill onto the
-    /// sorted-overflow path — under the seed's schedule controller. Each
-    /// combination runs two back-to-back regions on one executor, so the
-    /// second always merges out of retained scratch. Integer elements
-    /// keep the check bit-exact under any interleaving.
-    pub fn segmented_case(threads: usize, seed: u64) -> SegmentedOutcome {
-        let n = 512usize;
-        let updates = 8 * n;
-        let kernel = ScatterKernel { n, seed };
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-
-        let session = verify::install(params_for_seed(seed));
-        let pool = ThreadPool::new(threads);
-        let mut result = Ok(());
-        'sweep: for bucket_bits in [1u32, 3, 6] {
-            let block_bytes = (1usize << bucket_bits) * std::mem::size_of::<i64>();
-            // Unlimited lets every block promote to a dense copy, the
-            // middle budget admits roughly two promotions per thread,
-            // and zero pins every spill to the overflow run.
-            let budgets = [
-                crate::PlanBudget::UNLIMITED,
-                crate::PlanBudget::new(2 * threads * block_bytes),
-                crate::PlanBudget::new(0),
-            ];
-            for budget in budgets {
-                let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::Segmented { bucket_bits });
-                ex.set_budget(budget);
-                for region in 0..2 {
-                    let mut out = vec![0i64; n];
-                    ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-                    if out != want {
-                        result = Err(format!(
-                            "seed {seed}: segmented-{bucket_bits} budget {} region {region} \
-                             diverged from sequential",
-                            budget.max_scratch_bytes
-                        ));
-                        break 'sweep;
-                    }
-                }
-            }
-        }
-        drop(pool);
-        SegmentedOutcome {
-            result,
-            preemptions: session.preemptions(),
-            bucket_spills: session.total(HookPoint::BucketSpill),
-        }
-    }
-
-    /// One segmented fault-injection iteration: plant a panic at a
-    /// seed-chosen [`HookPoint::BucketSpill`] crossing — the
-    /// bucket-overflow handler, mid-loop on a worker thread — and demand
-    /// that (a) the region panics instead of deadlocking, and (b) the
-    /// same pool and executor then rerun the region unperturbed to the
-    /// exact sequential result, proving a death inside the spill path
-    /// leaves no retained scratch the next region could double-count.
-    pub fn segmented_fault_case(threads: usize, seed: u64) -> Result<(), String> {
-        let n = 64usize;
-        let updates = 16 * n;
-        let h = mix64(seed ^ 0x5E97_FA17);
-        let tid = (h % threads as u64) as usize;
-        // With bucket_bits 2 (capacity 4) and a zero budget every fourth
-        // apply into a block spills, so each thread crosses BucketSpill
-        // dozens of times per region; the first few are always
-        // reachable.
-        let nth = 1 + (h >> 8) % 4;
-
-        let session = verify::install(VerifyConfig {
-            seed,
-            preempt_per_mille: 100,
-            budget: 64,
-            delay_nanos: 0,
-            migrate_per_mille: 0,
-            fault: Some(FaultSpec {
-                tid,
-                point: HookPoint::BucketSpill,
-                nth,
-            }),
-        });
-        let pool = ThreadPool::new(threads);
-        let kernel = RoundRobinKernel { n };
-        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::Segmented { bucket_bits: 2 });
-        // Zero budget: no dense promotions, so spills keep recurring
-        // instead of stopping after one promotion per block.
-        ex.set_budget(crate::PlanBudget::new(0));
-        let mut out = vec![0i64; n];
-        // Silent hook for the same reason as `fault_case`.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        }))
-        .is_err();
-        std::panic::set_hook(default_hook);
-        if !poisoned {
-            return Err(format!(
-                "seed {seed}: injected fault at bucket_spill #{nth} on tid {tid} never fired"
-            ));
-        }
-        drop(session);
-
-        // The pool and executor must survive the mid-spill death: rerun
-        // the same region on the same objects, unperturbed, and demand
-        // the exact sequential result.
-        let mut out = vec![0i64; n];
-        ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-        if out != want {
-            return Err(format!(
-                "seed {seed}: post-fault rerun diverged after bucket_spill #{nth} on tid {tid}"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Everything one delta fuzz iteration observed.
-    pub struct DeltaOutcome {
-        /// `Ok` when every incremental batch — across both the
-        /// exact-inverse leg and the refold leg, with migrations in
-        /// between — matched the never-incremental reference bit-for-bit.
-        pub result: Result<(), String>,
-        /// Preemptions the controller charged (all threads).
-        pub preemptions: u64,
-        /// [`HookPoint::DeltaApply`] crossings — proof the sweep staged
-        /// dirty blocks rather than silently recomputing.
-        pub delta_applies: u64,
-        /// Retractions the executors processed across both legs.
-        pub retractions: u64,
-        /// Strategy migrations performed between batches.
-        pub migrations: u64,
-    }
-
-    /// One delta fuzz iteration: stream seeded churn batches (pushes of
-    /// fresh tags plus retractions of earlier rounds' live tags) through
-    /// [`RegionExecutor::run_delta`] under the seed's schedule
-    /// controller, and demand the incremental result stays bit-identical
-    /// to replaying the surviving contributions from scratch. Two legs
-    /// share the seed's stream: an `i64` Sum leg (wrapping inverse, so
-    /// retractions take the exact-inverse fast path when the dirty
-    /// fraction allows) and an `i64` Min leg (no inverse — every batch
-    /// refolds its dirty blocks from the contribution log). Both legs
-    /// migrate strategies mid-stream — including onto the segmented
-    /// reducer, whose retained scratch must be invalidated for dirty
-    /// blocks — and every third round scatters updates array-wide to
-    /// force the full-refold fallback.
-    pub fn delta_case(threads: usize, seed: u64) -> DeltaOutcome {
-        use crate::{DeltaBatch, Min};
-
-        let n = 768usize;
-        let session = verify::install(params_for_seed(seed));
-        let pool = ThreadPool::new(threads);
-        let mut h = mix64(seed ^ 0xDE17_A5EE);
-        let mut step = move || {
-            h = mix64(h.wrapping_add(0x9E37_79B9_7F4A_7C15));
-            h
-        };
-        let mut result = Ok(());
-        let mut retractions = 0u64;
-        let mut migrations = 0u64;
-
-        // Leg 1: wrapping Sum — retractions may use the exact inverse.
-        let init: Vec<i64> = (0..n).map(|i| (i as i64 % 17) - 8).collect();
-        let mut out = init.clone();
-        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::BlockPrivate { block_size: 64 });
-        let mut live: Vec<(usize, u64, i64)> = Vec::new();
-        let mut next_tag = 0u64;
-        for round in 0..6u64 {
-            let mut batch = DeltaBatch::new();
-            for _ in 0..6 {
-                if live.len() > 3 {
-                    let at = step() as usize % live.len();
-                    let (idx, tag, _) = live.remove(at);
-                    batch.retract(idx, tag);
-                    retractions += 1;
-                }
-            }
-            // Clustered rounds stay incremental; every third round
-            // scatters array-wide and trips the full-refold fallback.
-            let spread = round % 3 == 2;
-            let base = (round as usize * 131) % n;
-            for _ in 0..40 {
-                let idx = if spread {
-                    step() as usize % n
-                } else {
-                    (base + step() as usize % 128) % n
-                };
-                let val = (step() % 41) as i64 - 20;
-                batch.push(idx, next_tag, val);
-                live.push((idx, next_tag, val));
-                next_tag += 1;
-            }
-            ex.run_delta(&pool, &mut out, &batch);
-            let mut want = init.clone();
-            for &(idx, _, v) in &live {
-                want[idx] = want[idx].wrapping_add(v);
-            }
-            if out != want {
-                result = Err(format!(
-                    "seed {seed}: sum leg round {round} diverged from full replay"
-                ));
-                break;
-            }
-            if round == 1 {
-                ex.migrate_to(Strategy::Segmented { bucket_bits: 4 });
-            }
-            if round == 3 {
-                ex.migrate_to(Strategy::Atomic);
-            }
-        }
-        migrations += ex.migrations();
-
-        // Leg 2: Min has no inverse — every retraction refolds the
-        // block's log, and the retracted minimum must resurface the
-        // runner-up exactly.
-        if result.is_ok() {
-            let minit = vec![i64::MAX; n];
-            let mut mout = minit.clone();
-            let mut mex = RegionExecutor::<i64, Min>::new(Strategy::BlockCas { block_size: 64 });
-            let mut mlive: Vec<(usize, u64, i64)> = Vec::new();
-            let mut mtag = 0u64;
-            for round in 0..5u64 {
-                let mut batch = DeltaBatch::new();
-                for _ in 0..5 {
-                    if mlive.len() > 2 {
-                        let at = step() as usize % mlive.len();
-                        let (idx, tag, _) = mlive.remove(at);
-                        batch.retract(idx, tag);
-                        retractions += 1;
-                    }
-                }
-                let base = (round as usize * 197) % n;
-                for _ in 0..32 {
-                    let idx = (base + step() as usize % 160) % n;
-                    let val = (step() % 1000) as i64 - 500;
-                    batch.push(idx, mtag, val);
-                    mlive.push((idx, mtag, val));
-                    mtag += 1;
-                }
-                mex.run_delta(&pool, &mut mout, &batch);
-                let mut want = minit.clone();
-                for &(idx, _, v) in &mlive {
-                    want[idx] = want[idx].min(v);
-                }
-                if mout != want {
-                    result = Err(format!(
-                        "seed {seed}: min leg round {round} diverged from full replay"
-                    ));
-                    break;
-                }
-                if round == 2 {
-                    mex.migrate_to(Strategy::Segmented { bucket_bits: 5 });
-                }
-            }
-            migrations += mex.migrations();
-        }
-
-        drop(pool);
-        DeltaOutcome {
-            result,
-            preemptions: session.preemptions(),
-            delta_applies: session.total(HookPoint::DeltaApply),
-            retractions,
-            migrations,
-        }
-    }
-
-    /// One delta fault-injection iteration: plant a panic at a
-    /// seed-chosen [`HookPoint::DeltaApply`] crossing — mid-stage on a
-    /// worker thread, before any staged block commits — and demand that
-    /// (a) the batch panics instead of deadlocking, (b) the previously
-    /// committed result is left bit-for-bit untouched (poison, not
-    /// corrupt), and (c) the same executor then replays the identical
-    /// batch unperturbed to the exact full-replay result, proving the
-    /// aborted transaction left the retained delta state fully
-    /// retryable.
-    pub fn delta_fault_case(threads: usize, seed: u64) -> Result<(), String> {
-        use crate::DeltaBatch;
-
-        // 16 delta blocks (64 elements each), ten live contributions per
-        // element: the churn batch below dirties every block, and the
-        // logs are heavy enough that staging takes the *parallel* path —
-        // spread across the whole team, each tid crossing DeltaApply at
-        // least twice.
-        let n = 1024usize;
-        let per_elem = 10usize;
-        let h = mix64(seed ^ 0xDE17_FA17);
-        let tid = (h % threads as u64) as usize;
-        let nth = 1 + (h >> 8) % 2;
-
-        let pool = ThreadPool::new(threads);
-        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::BlockCas { block_size: 64 });
-        let mut out = vec![0i64; n];
-        // Baseline batch, committed before the controller is installed.
-        let mut batch = DeltaBatch::new();
-        for r in 0..per_elem {
-            for i in 0..n {
-                batch.push(i, (r * n + i) as u64, 1);
-            }
-        }
-        ex.run_delta(&pool, &mut out, &batch);
-        let before = out.clone();
-
-        // Churn touching every block: retract one baseline tag per block
-        // and replace it.
-        let mut churn = DeltaBatch::new();
-        let mut touched = Vec::new();
-        for b in 0..(n >> 6) {
-            let idx = (b << 6) + mix64(h ^ b as u64) as usize % 64;
-            churn.retract(idx, idx as u64);
-            churn.push(idx, (per_elem * n + b) as u64, -5);
-            touched.push(idx);
-        }
-
-        let session = verify::install(VerifyConfig {
-            seed,
-            preempt_per_mille: 100,
-            budget: 64,
-            delay_nanos: 0,
-            migrate_per_mille: 0,
-            fault: Some(FaultSpec {
-                tid,
-                point: HookPoint::DeltaApply,
-                nth,
-            }),
-        });
-        // Silent hook for the same reason as `fault_case`.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            ex.run_delta(&pool, &mut out, &churn);
-        }))
-        .is_err();
-        std::panic::set_hook(default_hook);
-        if !poisoned {
-            return Err(format!(
-                "seed {seed}: injected fault at delta_apply #{nth} on tid {tid} never fired"
-            ));
-        }
-        if out != before {
-            return Err(format!(
-                "seed {seed}: fault at delta_apply #{nth} on tid {tid} corrupted the \
-                 committed result"
-            ));
-        }
-        drop(session);
-
-        // The executor must survive the mid-stage death: replay the same
-        // batch on the same objects, unperturbed, and demand the exact
-        // full-replay result.
-        ex.run_delta(&pool, &mut out, &churn);
-        let mut want = vec![per_elem as i64; n];
-        for &idx in &touched {
-            want[idx] = per_elem as i64 - 1 - 5;
-        }
-        if out != want {
-            return Err(format!(
-                "seed {seed}: post-fault replay diverged after delta_apply #{nth} on tid {tid}"
-            ));
-        }
-        let committed = out.clone();
-
-        // Second plant, on the *serial* staging path this time: a tiny
-        // batch stages on the caller thread (bound as tid 0), and the
-        // same poison-not-corrupt contract must hold there.
-        let mut small = DeltaBatch::new();
-        small.retract(touched[0], (per_elem * n) as u64);
-        small.push(touched[0], (per_elem * n + 100) as u64, 3);
-        let session = verify::install(VerifyConfig {
-            seed,
-            preempt_per_mille: 0,
-            budget: 0,
-            delay_nanos: 0,
-            migrate_per_mille: 0,
-            fault: Some(FaultSpec {
-                tid: 0,
-                point: HookPoint::DeltaApply,
-                nth: 1,
-            }),
-        });
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            ex.run_delta(&pool, &mut out, &small);
-        }))
-        .is_err();
-        std::panic::set_hook(default_hook);
-        if !poisoned {
-            return Err(format!(
-                "seed {seed}: serial-path fault at delta_apply #1 on tid 0 never fired"
-            ));
-        }
-        if out != committed {
-            return Err(format!(
-                "seed {seed}: serial-path fault corrupted the committed result"
-            ));
-        }
-        drop(session);
-        ex.run_delta(&pool, &mut out, &small);
-        want[touched[0]] = per_elem as i64 - 1 + 3;
-        if out != want {
-            return Err(format!(
-                "seed {seed}: post-fault serial replay diverged on tid 0"
-            ));
-        }
-        Ok(())
+        drop((red, pool, session));
+        out != sequential::<i64, _>(n, updates, &kernel)
     }
 }
 
@@ -1471,33 +936,27 @@ mod tests {
     #[test]
     fn oracle_accepts_correct_strategies() {
         let pool = ThreadPool::new(3);
-        let cfg = OracleCfg::quick(3);
-        let stats = check_seed(&pool, &cfg, 7).expect("all strategies agree with sequential");
-        // 11 strategies x 2 element types x (1 unplanned + 1 recording
-        // + 2 replays) regions.
-        assert_eq!(stats.regions, cfg.strategies.len() * 2 * (2 + cfg.replays));
-        assert_eq!(stats.reports.len(), stats.regions);
+        let reports =
+            check_seed(&pool, 7, Schedule::default()).expect("all strategies match sequential");
+        // 11 strategies x 2 element types x (run + planned leg) x 3 regions.
+        assert_eq!(reports.len(), Strategy::all(BLOCK).len() * 2 * 2 * REGIONS);
     }
 
     #[test]
     fn oracle_works_under_dynamic_schedules() {
         let pool = ThreadPool::new(2);
-        let mut cfg = OracleCfg::quick(2);
-        cfg.dynamic = true;
-        cfg.check_floats = false;
-        cfg.replays = 1;
-        check_seed(&pool, &cfg, 11).expect("dynamic schedule stays exact");
+        let dynamic = Schedule::Dynamic { chunk: 3 };
+        check_seed(&pool, 11, dynamic).expect("dynamic schedule stays exact");
     }
 
     #[test]
     fn adaptive_oracle_accepts_and_cost_model_migrates() {
-        // With no verify session installed (or without the feature at
-        // all), migrations come from the cost model alone: the sweep's
-        // dense→sparse shift must trigger at least one, and every
-        // region — adaptive and fixed alike — must match sequential.
+        // With no verify session bound, migrations come from the cost
+        // model alone: the sweep's dense→sparse shift must trigger at
+        // least one, and every region — adaptive and fixed alike — must
+        // match sequential.
         let pool = ThreadPool::new(3);
-        let cfg = OracleCfg::quick(3);
-        let stats = check_adaptive_seed(&pool, &cfg, 7).expect("adaptive sweep matches sequential");
+        let stats = check_adaptive_seed(&pool, 7).expect("adaptive sweep matches sequential");
         assert!(
             stats.migrations >= 1,
             "dense→sparse shift must migrate: {stats:?}"
@@ -1510,38 +969,21 @@ mod tests {
         assert_eq!(total, 8);
     }
 
-    #[cfg(feature = "verify")]
     #[test]
-    fn segmented_fuzz_case_is_deterministic_and_replays_faults() {
-        let first = fuzz::segmented_case(3, 42);
-        first.result.expect("segmented sweep matches sequential");
-        assert!(
-            first.bucket_spills > 0,
-            "zero-budget leg must exercise the spill path"
-        );
-        let second = fuzz::segmented_case(3, 42);
-        second.result.expect("segmented sweep matches sequential");
-        assert_eq!(first.bucket_spills, second.bucket_spills);
-        assert_eq!(first.preemptions, second.preemptions);
-        fuzz::segmented_fault_case(3, 42).expect("planted bucket-spill fault replays");
-    }
-
-    #[cfg(feature = "verify")]
-    #[test]
-    fn delta_fuzz_case_is_deterministic_and_replays_faults() {
-        let first = fuzz::delta_case(3, 42);
-        first.result.expect("delta stream matches full replay");
-        assert!(
-            first.delta_applies > 0,
-            "incremental legs must stage dirty blocks"
-        );
-        assert!(first.retractions > 0, "churn must retract live tags");
-        assert!(first.migrations >= 3, "legs migrate mid-stream");
-        let second = fuzz::delta_case(3, 42);
-        second.result.expect("delta stream matches full replay");
-        assert_eq!(first.delta_applies, second.delta_applies);
-        assert_eq!(first.preemptions, second.preemptions);
-        fuzz::delta_fault_case(3, 42).expect("planted delta-apply fault replays");
+    fn adaptive_oracle_migrations_do_not_depend_on_topology() {
+        for seed in 0..6 {
+            let run = |topo| {
+                let pool = ThreadPool::with_topology(4, topo);
+                let s = check_adaptive_seed(&pool, seed).expect("adaptive sweep exact");
+                (s.migrations, s.strategy_regions)
+            };
+            let flat = run(ompsim::Topology::flat(4));
+            let sharded = run(ompsim::Topology::new(2, 2));
+            assert_eq!(
+                flat, sharded,
+                "seed {seed}: migrations followed the topology"
+            );
+        }
     }
 
     #[test]

@@ -172,6 +172,9 @@ impl<'a> Team<'a> {
 #[derive(Copy, Clone)]
 struct JobRef {
     f: *const (dyn Fn(&Team<'_>) + Sync),
+    /// The forker's verify-session binding, adopted by every worker for
+    /// the region (zero-sized without the `verify` feature).
+    binding: crate::verify::Binding,
 }
 // SAFETY: the pointee is `Sync` and `parallel` blocks until all uses end.
 unsafe impl Send for JobRef {}
@@ -338,6 +341,7 @@ impl ThreadPool {
                     *const (dyn Fn(&Team<'_>) + Sync),
                 >(erased as *const _)
             },
+            binding: crate::verify::binding(),
         };
 
         // Publish the job: slot and countdown first, then the epoch bump
@@ -357,7 +361,7 @@ impl ThreadPool {
         // The caller participates as thread 0.
         let team = Team::new(0, self.nthreads, &self.shared);
         let leader_result = catch_unwind(AssertUnwindSafe(|| {
-            crate::verify::enter_region(0);
+            crate::verify::enter_region(0, job.binding);
             f(&team)
         }));
         if leader_result.is_err() {
@@ -495,7 +499,7 @@ fn worker_loop(shared: &Shared, tid: usize, nthreads: usize) {
         // SAFETY: the leader blocks in `parallel` until `remaining == 0`,
         // so the borrowed closure behind `job.f` is still alive here.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            crate::verify::enter_region(tid);
+            crate::verify::enter_region(tid, job.binding);
             unsafe { (*job.f)(&team) }
         }));
         if result.is_err() {

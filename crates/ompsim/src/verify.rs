@@ -21,15 +21,19 @@
 //!   recovery paths mid-region;
 //! * every controller records per-thread hook-crossing counts and a
 //!   bounded per-thread event trace, which the fuzz driver fingerprints
-//!   to assert replay determinism.
+//!   to assert replay determinism;
+//! * a session is scoped to its own threads ([`Binding`]): the
+//!   installing thread, the workers of the pools it forks, and threads
+//!   that adopt its binding. Anything else running in the process meanwhile
+//!   crosses its hooks unperturbed and uncounted.
 //!
 //! Single-core note: a lost-update race between two threads almost never
 //! manifests on one CPU because each read-modify-write completes within
-//! a timeslice. The reducers therefore *widen* their RMW race windows
-//! under the feature (load, `perturb`, store) — a yield inside the
-//! window hands the core to the other thread mid-RMW, which is exactly
-//! the interleaving a correct ownership protocol must make harmless and
-//! a broken one turns into a lost update the differential oracle sees.
+//! a timeslice. The reducers' shared RMWs are therefore written as load,
+//! `perturb`, store — in every build, so the verify build runs the
+//! release data plane — and a yield inside that window hands the core to
+//! the other thread mid-RMW: harmless under a correct ownership protocol,
+//! a lost update the differential oracle sees under a broken one.
 
 /// A schedule-sensitive point in the pool's or a reducer's protocol.
 ///
@@ -54,13 +58,14 @@ pub enum HookPoint {
     /// (`idx` = writer thread).
     QueueDrain,
     /// A merge epilogue is about to fold one privatized block into the
-    /// output (`idx` = block index).
+    /// output (`idx` = block index; the dense strategy, whose copies span
+    /// the whole array, passes the source thread).
     MergeStep,
     /// An adaptive executor is evaluating (or mid-way through) a strategy
     /// migration between regions (`idx` = adaptive region sequence
     /// number). Crossed on the orchestrating thread — which never enters
     /// a parallel region — so the controller tracks it with a dedicated
-    /// process-wide stream instead of a per-thread one; see
+    /// session-wide stream instead of a per-thread one; see
     /// [`migration_choice`].
     MigrationDecision,
     /// A segmented view's bucket for one block just filled and is about
@@ -154,12 +159,35 @@ pub fn perturb(_point: HookPoint) {}
 #[inline(always)]
 pub fn perturb_idx(_point: HookPoint, _idx: u64) {}
 
-/// Region entry: binds the calling thread's id for the controller. The
-/// pool calls this at the top of every region body. No-op without
-/// `verify`.
+/// The controller session a thread is bound to. Hooks act only on
+/// threads bound to the installed session: the installing thread, the
+/// workers of every pool it forks (the pool hands its forker's binding to
+/// each region, see [`enter_region`]), and threads that adopt it with
+/// [`bind`]. Threads running alongside — sibling tests, unrelated pools —
+/// cross their hooks unperturbed and uncounted. A zero-sized no-op
+/// without `verify`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Binding(#[cfg(feature = "verify")] u64);
+
+/// The calling thread's session binding. No-op without `verify`.
 #[cfg(not(feature = "verify"))]
 #[inline(always)]
-pub fn enter_region(_tid: usize) {}
+pub fn binding() -> Binding {
+    Binding()
+}
+
+/// Binds the calling thread to `b` (a thread spawned on behalf of a
+/// bound thread adopts its binding). No-op without `verify`.
+#[cfg(not(feature = "verify"))]
+#[inline(always)]
+pub fn bind(_b: Binding) {}
+
+/// Region entry: binds the calling thread to the forker's session and
+/// its team id. The pool calls this at the top of every region body.
+/// No-op without `verify`.
+#[cfg(not(feature = "verify"))]
+#[inline(always)]
+pub fn enter_region(_tid: usize, _b: Binding) {}
 
 /// [`HookPoint::MigrationDecision`] crossing: an adaptive executor asks
 /// the controller whether to *force* a strategy migration at this region
@@ -173,8 +201,8 @@ pub fn migration_choice(_idx: u64, _n_choices: u64) -> Option<u64> {
 
 #[cfg(feature = "verify")]
 mod active {
-    use super::{mix64, HookPoint, NPOINTS};
-    use std::cell::RefCell;
+    use super::{mix64, Binding, HookPoint, NPOINTS};
+    use std::cell::{Cell, RefCell};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::Duration;
@@ -278,9 +306,9 @@ mod active {
     static GEN: AtomicU64 = AtomicU64::new(0);
     static NEXT_GEN: AtomicU64 = AtomicU64::new(1);
     static ACTIVE: Mutex<Option<Arc<ControllerState>>> = Mutex::new(None);
-    /// Serializes controller sessions: schedule fuzzing is a
-    /// whole-process experiment, so concurrent installs (e.g. parallel
-    /// test threads) queue here.
+    /// Serializes controller sessions: one controller is installed at a
+    /// time, so concurrent installs (e.g. parallel test threads) queue
+    /// here.
     static SESSION: Mutex<()> = Mutex::new(());
 
     struct TlState {
@@ -292,6 +320,26 @@ mod active {
 
     thread_local! {
         static TL: RefCell<Option<TlState>> = const { RefCell::new(None) };
+        /// Generation of the session this thread is bound to (0 = none).
+        static BOUND: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The installed session's generation when the calling thread is
+    /// bound to it, `None` otherwise.
+    #[inline]
+    fn active_gen() -> Option<u64> {
+        let gen = GEN.load(Ordering::Acquire);
+        (gen != 0 && BOUND.with(Cell::get) == gen).then_some(gen)
+    }
+
+    /// The calling thread's session binding.
+    pub fn binding() -> Binding {
+        Binding(BOUND.with(Cell::get))
+    }
+
+    /// Binds the calling thread to `b`.
+    pub fn bind(b: Binding) {
+        BOUND.with(|c| c.set(b.0));
     }
 
     /// An installed schedule controller. Dropping it uninstalls the
@@ -301,8 +349,9 @@ mod active {
         _serial: MutexGuard<'static, ()>,
     }
 
-    /// Installs a controller for the duration of the returned session.
-    /// Blocks until any other session ends (sessions are process-global).
+    /// Installs a controller for the duration of the returned session and
+    /// binds the calling thread to it. Blocks until any other session
+    /// ends (one controller at a time).
     pub fn install(cfg: VerifyConfig) -> VerifySession {
         let serial = SESSION.lock().unwrap_or_else(|e| e.into_inner());
         let gen = NEXT_GEN.fetch_add(1, Ordering::Relaxed);
@@ -320,6 +369,7 @@ mod active {
         });
         *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&state));
         GEN.store(gen, Ordering::Release);
+        BOUND.with(|c| c.set(gen));
         VerifySession {
             state,
             _serial: serial,
@@ -411,18 +461,16 @@ mod active {
         });
     }
 
-    /// Region entry: binds `tid` for this thread and reseeds its
-    /// decision stream, then crosses [`HookPoint::RegionStart`].
-    pub fn enter_region(tid: usize) {
-        if GEN.load(Ordering::Acquire) == 0 {
+    /// Region entry: binds this thread to the forker's session `b` and
+    /// to `tid`, reseeds its decision stream, then crosses
+    /// [`HookPoint::RegionStart`].
+    pub fn enter_region(tid: usize, b: Binding) {
+        bind(b);
+        if active_gen().is_none() {
             return;
         }
         TL.with(|tl| {
             let mut slot = tl.borrow_mut();
-            let gen = GEN.load(Ordering::Acquire);
-            if gen == 0 {
-                return;
-            }
             // Always rebind: the same pool thread may take different
             // tids across pools, and each region restarts the stream so
             // regions are independently replayable.
@@ -439,7 +487,7 @@ mod active {
 
     /// [`HookPoint::MigrationDecision`] crossing. Unlike the per-thread
     /// hooks this runs on the orchestrating thread (which never binds a
-    /// tid), so the controller keeps a single process-wide crossing
+    /// tid), so the controller keeps a single session-wide crossing
     /// counter and a *stateless* decision stream: crossing `nth` draws
     /// `mix64(seed ^ salt ^ nth)`, making the whole forced-migration
     /// schedule a pure function of the seed and the executor's region
@@ -451,9 +499,7 @@ mod active {
     /// (`tid` is ignored); crossings are counted and traced under
     /// thread slot 0.
     pub fn migration_choice(idx: u64, n_choices: u64) -> Option<u64> {
-        if GEN.load(Ordering::Acquire) == 0 {
-            return None;
-        }
+        active_gen()?;
         let ctl = {
             let guard = ACTIVE.lock().unwrap_or_else(|e| e.into_inner());
             match guard.as_ref() {
@@ -507,10 +553,7 @@ mod active {
     /// records cold points — and any crossing that acted — in the trace.
     #[inline]
     pub fn perturb_idx(point: HookPoint, idx: u64) {
-        let gen = GEN.load(Ordering::Acquire);
-        if gen == 0 {
-            return;
-        }
+        let Some(gen) = active_gen() else { return };
         TL.with(|tl| {
             let mut slot = tl.borrow_mut();
             let stale = match slot.as_ref() {
@@ -607,6 +650,6 @@ mod active {
 
 #[cfg(feature = "verify")]
 pub use active::{
-    enter_region, install, migration_choice, perturb, perturb_idx, Action, FaultSpec, TraceEvent,
-    VerifyConfig, VerifySession, MAX_THREADS,
+    bind, binding, enter_region, install, migration_choice, perturb, perturb_idx, Action,
+    FaultSpec, TraceEvent, VerifyConfig, VerifySession, MAX_THREADS,
 };

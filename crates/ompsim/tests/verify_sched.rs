@@ -1,24 +1,17 @@
 //! Schedule-controller behavior (requires `--features verify`).
 //!
-//! Sessions are process-global, so every test that installs one also
-//! takes the file-local `TEST_LOCK`: otherwise another test's pool could
-//! run a region *inside* this test's session and trip its fault spec.
+//! Sessions are scoped to the threads bound to them, so these tests run
+//! under the default parallel harness: a sibling test's pool never runs
+//! a region inside another test's session.
 #![cfg(feature = "verify")]
 
 use ompsim::verify::{install, FaultSpec, HookPoint, VerifyConfig};
 use ompsim::ThreadPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::atomic::{AtomicBool, Ordering};
 
 #[test]
 fn controller_replays_a_seed_exactly() {
-    let _l = lock();
     let run = |seed: u64| {
         let session = install(VerifyConfig {
             seed,
@@ -48,7 +41,6 @@ fn controller_replays_a_seed_exactly() {
 
 #[test]
 fn distinct_seeds_draw_distinct_decision_streams() {
-    let _l = lock();
     let preempts = |seed: u64| {
         let session = install(VerifyConfig {
             seed,
@@ -76,18 +68,60 @@ fn distinct_seeds_draw_distinct_decision_streams() {
 
 #[test]
 fn uninstalled_hooks_are_inert() {
-    // The premise — no session installed — only holds while no other
-    // test in this binary is mid-install, so serialize like the rest.
-    let _l = lock();
-    // No session: hooks must be callable no-ops from any thread.
+    // No session bound to this thread: hooks must be callable no-ops.
     ompsim::verify::perturb(HookPoint::BarrierEnter);
     ompsim::verify::perturb_idx(HookPoint::SharedWrite, 3);
-    ompsim::verify::enter_region(0);
+    ompsim::verify::enter_region(0, ompsim::verify::binding());
+    assert_eq!(ompsim::verify::migration_choice(0, 4), None);
+}
+
+#[test]
+fn unhooked_pool_alongside_a_session_leaves_its_totals_alone() {
+    let run = || {
+        let session = install(VerifyConfig {
+            seed: 11,
+            preempt_per_mille: 300,
+            budget: 32,
+            delay_nanos: 0,
+            migrate_per_mille: 500,
+            fault: None,
+        });
+        let pool = ThreadPool::new(3);
+        for _ in 0..20 {
+            pool.parallel(|team| {
+                for _ in 0..5 {
+                    team.barrier();
+                }
+            });
+            let _ = ompsim::verify::migration_choice(0, 4);
+        }
+        drop(pool);
+        session.totals()
+    };
+    let solo = run();
+    // A thread that never installed or adopted the session hammers its
+    // own pool (and raw hooks) for the whole second run.
+    let stop = AtomicBool::new(false);
+    let shared = std::thread::scope(|s| {
+        s.spawn(|| {
+            let pool = ThreadPool::new(2);
+            while !stop.load(Ordering::Relaxed) {
+                pool.parallel(|team| team.barrier());
+                ompsim::verify::perturb(HookPoint::SharedWrite);
+                let _ = ompsim::verify::migration_choice(0, 4);
+            }
+        });
+        let totals = run();
+        stop.store(true, Ordering::Relaxed);
+        totals
+    });
+    assert_eq!(solo, shared, "an unbound pool leaked into the session");
+    assert_eq!(solo[HookPoint::RegionStart.index()], 60);
+    assert_eq!(solo[HookPoint::MigrationDecision.index()], 20);
 }
 
 #[test]
 fn injected_barrier_fault_poisons_region_and_pool_survives() {
-    let _l = lock();
     let pool = ThreadPool::new(3);
     {
         let _session = install(VerifyConfig {
@@ -120,7 +154,6 @@ fn injected_barrier_fault_poisons_region_and_pool_survives() {
 
 #[test]
 fn budget_caps_preemptions() {
-    let _l = lock();
     let session = install(VerifyConfig {
         seed: 3,
         preempt_per_mille: 1000,
@@ -142,7 +175,6 @@ fn budget_caps_preemptions() {
 
 #[test]
 fn migration_stream_is_seed_deterministic_and_counted() {
-    let _l = lock();
     let run = |seed: u64| {
         let session = install(VerifyConfig {
             seed,
@@ -185,7 +217,6 @@ fn migration_stream_is_seed_deterministic_and_counted() {
 
 #[test]
 fn migration_fault_fires_on_nth_crossing() {
-    let _l = lock();
     let session = install(VerifyConfig {
         seed: 5,
         preempt_per_mille: 0,

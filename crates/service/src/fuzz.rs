@@ -1,33 +1,22 @@
-//! Seeded concurrent-jobs differential oracle for the service.
+//! The scenario-matrix runner, with the service leg.
 //!
-//! One case per seed: a deterministic set of integer scatter jobs is
-//! run twice through a [`ReductionService`] — once submitted serially
-//! with batching disabled (`batch_window = 1`, inline epilogues), once
-//! submitted concurrently from two OS threads with batching and the
-//! pipelined epilogue enabled — and both runs execute under ompsim's
-//! seeded schedule controller with planted strategy migrations
-//! (`migrate_per_mille` + a density-only adaptive policy, the same
-//! determinism envelope as `schedule_fuzz --migrations`). Because the
-//! element type is `i64` under `Sum`, every run must be **bit-identical**
-//! to the sequential loop regardless of interleaving, batch composition,
-//! or where a migration lands — so serial and concurrent submission are
-//! also bit-identical to each other, including across a mid-sweep
-//! migration. Any divergence is a one-line repro:
-//! `schedule_fuzz --service 1 --start <seed>`.
+//! [`run`] executes any [`Scenario`]: [`Path::Service`] scenarios here,
+//! every other path through [`spray::verify::fuzz::run`]. A service
+//! scenario runs a deterministic set of integer scatter jobs twice
+//! through a [`ReductionService`] — submitted serially with batching off
+//! (`batch_window = 1`, inline epilogues), then from two submitter
+//! threads with batching and the pipelined epilogue on — each under the
+//! scenario's seeded controller, which the service's dispatcher adopts.
+//! With `i64` under `Sum` every run must be bit-identical to the
+//! sequential loop whatever the interleaving, batch composition or
+//! planted migration, so serial and concurrent submission must also
+//! agree with each other.
 
-use crate::{Job, JobResult, ReductionService, ServiceConfig};
-use ompsim::verify::{self, mix64, VerifyConfig};
-use spray::{AdaptiveConfig, ExecutorPolicy, Strategy, Sum};
-
-/// Everything one service fuzz iteration observed.
-pub struct ServiceOutcome {
-    /// `Ok` when both runs matched the sequential loop bit-for-bit.
-    pub result: Result<(), String>,
-    /// Strategy migrations the service sessions performed across both
-    /// runs (planted + cost-model); the sweep checks the aggregate so
-    /// the mode keeps its teeth.
-    pub migrations: u64,
-}
+use crate::{Job, JobResult, ReductionService, ServiceConfig, Ticket};
+use ompsim::verify::mix64;
+use spray::verify::adaptive_policy;
+use spray::verify::fuzz::{self, under_session, Outcome, Path, Scenario};
+use spray::{ExecutorPolicy, Sum};
 
 /// One deterministic scatter job derived from `(seed, j)`.
 struct CaseJob {
@@ -36,57 +25,42 @@ struct CaseJob {
     init: Vec<i64>,
     iters: usize,
     salt: u64,
-    n: usize,
 }
 
 impl CaseJob {
-    #[inline]
-    fn update(&self, i: usize) -> (usize, i64) {
-        let h = mix64(self.salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        ((h as usize) % self.n, 1 + ((h >> 32) % 7) as i64)
-    }
-
     fn expected(&self) -> Vec<i64> {
         let mut out = self.init.clone();
         for i in 0..self.iters {
-            let (idx, v) = self.update(i);
+            let (idx, v) = update(self.salt, out.len(), i);
             out[idx] += v;
         }
         out
     }
 
     fn to_job(&self) -> Job<'static, i64> {
-        let (n, salt, iters) = (self.n, self.salt, self.iters);
+        let (n, salt) = (self.init.len(), self.salt);
         Job {
             tenant: self.tenant,
             class: self.class,
             out: self.init.clone(),
-            iters,
+            iters: self.iters,
             body: Box::new(move |view, i| {
-                let h = mix64(salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                view.apply((h as usize) % n, 1 + ((h >> 32) % 7) as i64);
+                let (idx, v) = update(salt, n, i);
+                view.apply(idx, v);
             }),
         }
     }
 }
 
-/// Controller parameters for a service seed: moderate preemption plus a
-/// high planted-migration rate, mirroring the migration fuzz envelope.
-fn service_params(seed: u64) -> VerifyConfig {
-    let h = mix64(seed ^ 0x5E2F_1CE5);
-    VerifyConfig {
-        seed,
-        preempt_per_mille: (50 + h % 250) as u16,
-        budget: (16 + ((h >> 16) % 64)) as u32,
-        delay_nanos: 0,
-        migrate_per_mille: (250 + ((h >> 24) % 500)) as u16,
-        fault: None,
-    }
+#[inline]
+fn update(salt: u64, n: usize, i: usize) -> (usize, i64) {
+    let h = mix64(salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    ((h as usize) % n, 1 + ((h >> 32) % 7) as i64)
 }
 
-/// Builds the seed's deterministic job set: 4–10 jobs across three
-/// tenants and up to two shape classes (so some batches coalesce and
-/// some refuse to), with jittered per-job iteration counts.
+/// The seed's job set: 4–10 jobs across three tenants and up to two
+/// shape classes (so some batches coalesce and some refuse to), with
+/// jittered per-job iteration counts.
 fn case_jobs(seed: u64) -> Vec<CaseJob> {
     let h = mix64(seed ^ 0xCA5E_CA5E);
     let n = 64 + (h % 193) as usize;
@@ -100,29 +74,24 @@ fn case_jobs(seed: u64) -> Vec<CaseJob> {
                 init: (0..n).map(|i| (mix64(jh ^ i as u64) % 5) as i64).collect(),
                 iters: 200 + (jh >> 16) as usize % 600,
                 salt: mix64(seed ^ 0x5A17 ^ j as u64),
-                n,
             }
         })
         .collect()
 }
 
-/// The sweep's per-seed service configurations (shared shape, distinct
-/// admission): adaptive over a density-only candidate set so planted
-/// migrations replay deterministically.
-fn service_cfg(seed: u64, batch_window: usize, pipeline: bool) -> ServiceConfig {
-    let h = mix64(seed ^ 0xC0F1_6000);
-    let block_size = 16 << (h % 3); // 16 | 32 | 64
-    let threads = 2 + (h >> 8) as usize % 3;
+/// The scenario's service: its team and starting strategy, the oracle's
+/// density-only adaptive policy when it migrates (so planted migrations
+/// replay), and a seed-drawn loop schedule.
+fn service_cfg(sc: &Scenario, batch_window: usize, pipeline: bool) -> ServiceConfig {
     ServiceConfig {
-        threads,
-        strategy: Strategy::BlockCas { block_size },
-        policy: ExecutorPolicy::Adaptive(AdaptiveConfig::density_only(vec![
-            Strategy::BlockCas { block_size },
-            Strategy::Dense,
-            Strategy::Atomic,
-            Strategy::BlockPrivate { block_size },
-        ])),
-        schedule: if h & 0x1000 == 0 {
+        threads: sc.threads,
+        strategy: sc.strategy,
+        policy: if sc.migrate {
+            adaptive_policy()
+        } else {
+            ExecutorPolicy::Fixed
+        },
+        schedule: if mix64(sc.seed ^ 0xC0F1_6000) & 0x1000 == 0 {
             ompsim::Schedule::default()
         } else {
             ompsim::Schedule::Dynamic { chunk: 8 }
@@ -132,71 +101,27 @@ fn service_cfg(seed: u64, batch_window: usize, pipeline: bool) -> ServiceConfig 
     }
 }
 
-fn check_outputs(
-    label: &str,
-    seed: u64,
+/// One submission leg under the scenario's session: every job's result,
+/// in job order, each checked against the sequential loop.
+fn leg(
+    sc: &Scenario,
     jobs: &[CaseJob],
-    results: &[(usize, JobResult<i64>)],
-) -> Result<(), String> {
-    for (j, r) in results {
-        let want = jobs[*j].expected();
-        if r.out != want {
-            let bad = (0..want.len()).find(|&i| r.out[i] != want[i]).unwrap();
-            return Err(format!(
-                "seed {seed} {label}: job {j} diverges from sequential at index {bad} \
-                 (got {}, want {})",
-                r.out[bad], want[bad]
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// One service fuzz iteration; see the module docs for the full shape.
-pub fn service_case(seed: u64) -> ServiceOutcome {
-    let jobs = case_jobs(seed);
-    let mut migrations = 0u64;
-
-    // Run A: serial submission, no batching, inline epilogues.
-    let serial: Vec<(usize, JobResult<i64>)> = {
-        let _session = verify::install(service_params(seed));
-        let svc = ReductionService::<i64, Sum>::new(service_cfg(seed, 1, false));
-        let out = jobs
-            .iter()
-            .enumerate()
-            .map(|(j, cj)| (j, svc.submit(cj.to_job()).wait()))
-            .collect::<Vec<_>>();
-        migrations += out
-            .iter()
-            .map(|(_, r)| r.report.migrations)
-            .max()
-            .unwrap_or(0);
-        out
-    };
-    if let Err(e) = check_outputs("serial", seed, &jobs, &serial) {
-        return ServiceOutcome {
-            result: Err(e),
-            migrations,
-        };
-    }
-
-    // Run B: two submitter threads interleaving (evens vs odds), with
-    // batching and the pipelined epilogue on.
-    let batch_window = 2 + (mix64(seed ^ 0xBA7C) % 3) as usize;
-    let concurrent: Vec<(usize, JobResult<i64>)> = {
-        let _session = verify::install(service_params(seed));
-        let svc = ReductionService::<i64, Sum>::new(service_cfg(seed, batch_window, true));
-        let mut out = std::thread::scope(|s| {
-            let halves: Vec<_> = [0usize, 1]
-                .map(|parity| {
+    label: &str,
+    cfg: ServiceConfig,
+    submitters: usize,
+) -> Result<(Vec<Vec<i64>>, Outcome), String> {
+    under_session(sc, |o| {
+        let svc = ReductionService::<i64, Sum>::new(cfg);
+        // Submitter `s` takes jobs `j ≡ s (mod submitters)`, submitting
+        // all of them before waiting on any.
+        let mut results: Vec<(usize, JobResult<i64>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..submitters)
+                .map(|k| {
                     let svc = &svc;
-                    let jobs = &jobs;
                     s.spawn(move || {
-                        let tickets: Vec<(usize, crate::Ticket<i64>)> = jobs
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, _)| j % 2 == parity)
-                            .map(|(j, cj)| (j, svc.submit(cj.to_job())))
+                        let tickets: Vec<(usize, Ticket<i64>)> = (k..jobs.len())
+                            .step_by(submitters)
+                            .map(|j| (j, svc.submit(jobs[j].to_job())))
                             .collect();
                         tickets
                             .into_iter()
@@ -204,45 +129,55 @@ pub fn service_case(seed: u64) -> ServiceOutcome {
                             .collect::<Vec<_>>()
                     })
                 })
-                .into_iter()
                 .collect();
-            halves
+            handles
                 .into_iter()
                 .flat_map(|h| h.join().expect("submitter thread"))
-                .collect::<Vec<_>>()
+                .collect()
         });
-        out.sort_by_key(|(j, _)| *j);
-        migrations += out
+        drop(svc);
+        results.sort_by_key(|(j, _)| *j);
+        o.regions += results.len();
+        o.migrations += results
             .iter()
             .map(|(_, r)| r.report.migrations)
             .max()
             .unwrap_or(0);
-        out
-    };
-    if let Err(e) = check_outputs("concurrent", seed, &jobs, &concurrent) {
-        return ServiceOutcome {
-            result: Err(e),
-            migrations,
-        };
-    }
+        results
+            .into_iter()
+            .map(|(j, r)| {
+                let want = jobs[j].expected();
+                match (0..want.len()).find(|&i| r.out[i] != want[i]) {
+                    None => Ok(r.out),
+                    Some(i) => Err(format!(
+                        "{sc}: {label} job {j} diverges from sequential at index {i} \
+                         (got {}, want {})",
+                        r.out[i], want[i]
+                    )),
+                }
+            })
+            .collect()
+    })
+}
 
-    // Bit-identity across submission modes follows from both matching
-    // the sequential loop, but assert it directly so the oracle's claim
-    // is checked where it is made.
-    for ((j, a), (_, b)) in serial.iter().zip(concurrent.iter()) {
-        if a.out != b.out {
-            return ServiceOutcome {
-                result: Err(format!(
-                    "seed {seed}: job {j} serial vs concurrent submission diverge"
-                )),
-                migrations,
-            };
-        }
+/// Runs scenario `sc` on whichever crate owns its path; `Err` names the
+/// first divergence.
+pub fn run(sc: &Scenario) -> Result<Outcome, String> {
+    if sc.path != Path::Service {
+        return fuzz::run(sc);
     }
-
-    ServiceOutcome {
-        result: Ok(()),
-        migrations,
+    let jobs = case_jobs(sc.seed);
+    let (serial, mut o) = leg(sc, &jobs, "serial", service_cfg(sc, 1, false), 1)?;
+    let window = 2 + (mix64(sc.seed ^ 0xBA7C) % 3) as usize;
+    let (concurrent, c) = leg(sc, &jobs, "concurrent", service_cfg(sc, window, true), 2)?;
+    o.absorb(c);
+    // Implied by both matching the sequential loop, but asserted where
+    // the claim is made.
+    match (0..jobs.len()).find(|&j| serial[j] != concurrent[j]) {
+        None => Ok(o),
+        Some(j) => Err(format!(
+            "{sc}: job {j} serial vs concurrent submission diverge"
+        )),
     }
 }
 
@@ -251,11 +186,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_few_seeds_pass() {
+    fn service_scenarios_match_sequential_and_plant_migrations() {
         let mut migrations = 0;
         for seed in 0..4 {
-            let o = service_case(seed);
-            o.result.unwrap();
+            let sc = Scenario {
+                path: Path::Service,
+                migrate: true,
+                ..Scenario::draw(seed, 3)
+            };
+            let o = run(&sc).unwrap();
+            assert!(o.regions >= 8, "{sc}: both legs ran every job");
             migrations += o.migrations;
         }
         // With migrate_per_mille >= 250 across four seeds, at least one

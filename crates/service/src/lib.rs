@@ -31,8 +31,8 @@
 //! bit-identical to the sequential loop no matter how jobs are batched
 //! or interleaved; floats reassociate within a region exactly as a
 //! standalone region of the same strategy would. The `verify`-gated
-//! [`fuzz`] module turns that claim into a seeded differential oracle
-//! (`schedule_fuzz --service`).
+//! [`fuzz`] module turns that claim into a seeded differential oracle:
+//! the service path of `schedule_fuzz`'s scenario sweep.
 //!
 //! See DESIGN.md §9 for the session-vs-shared state split and the
 //! batching/pipelining rules in one place.
@@ -487,9 +487,11 @@ fn dispatcher_main<T: AtomicElement, O: ReduceOp<T>>(
     let (epi_tx, epi_handle) = if cfg.pipeline {
         let (tx, erx) = mpsc::channel::<Epilogue<T>>();
         let rtx = recycle_tx.clone();
+        let binding = ompsim::verify::binding();
         let h = std::thread::Builder::new()
             .name("spray-service-epilogue".into())
             .spawn(move || {
+                ompsim::verify::bind(binding);
                 while let Ok(e) = erx.recv() {
                     finish_epilogue(e, &rtx);
                 }
@@ -570,9 +572,15 @@ impl<T: AtomicElement, O: ReduceOp<T>> ReductionService<T, O> {
         let shared = Arc::new(ExecutorShared::new());
         let (tx, rx) = mpsc::channel();
         let shared2 = Arc::clone(&shared);
+        // The dispatcher (and the epilogue thread it spawns) run on behalf
+        // of the creating thread, so they adopt its verify-session binding.
+        let binding = ompsim::verify::binding();
         let dispatcher = std::thread::Builder::new()
             .name("spray-service".into())
-            .spawn(move || dispatcher_main::<T, O>(cfg, rx, shared2))
+            .spawn(move || {
+                ompsim::verify::bind(binding);
+                dispatcher_main::<T, O>(cfg, rx, shared2)
+            })
             .expect("spawn service dispatcher thread");
         ReductionService {
             tx: Some(tx),
