@@ -17,10 +17,9 @@
 //! `migration_secs` and the per-strategy region counts from the
 //! executor's telemetry.
 //!
-//! The bench pins the cost model to density signals only
-//! (`contention_limit`/`barrier_limit` zero) so the migration sequence
-//! is a pure function of the workload, not of scheduler noise — the
-//! same determinism envelope the verify oracle uses.
+//! The cost model reads only deterministic signals, so the migration
+//! sequence is a pure function of the workload, not of scheduler noise —
+//! the same policy the verify oracle checks.
 //!
 //! Prints CSV and writes `BENCH_adaptive_shift.json`. With `--check`,
 //! exits nonzero if the adaptive executor never migrated or its
@@ -30,8 +29,8 @@
 use bench::args::Opts;
 use ompsim::{Schedule, ThreadPool};
 use spray::{
-    default_candidates, AdaptiveConfig, ExecutorPolicy, JsonWriter, Kernel, ReducerView,
-    RegionExecutor, Strategy, Sum,
+    default_candidates, ExecutorPolicy, JsonWriter, Kernel, ReducerView, RegionExecutor, Strategy,
+    Sum,
 };
 use std::hint::black_box;
 use std::io::Write;
@@ -133,20 +132,14 @@ fn main() {
     let block_size = 1024usize;
     let dense_updates = n * 16;
     let sparse_updates = (n / 16).max(1);
-    // Density-only cost model (see module docs); patience 2 keeps most of
-    // the sparse tail on the migrated strategy.
-    let adaptive_cfg = AdaptiveConfig {
+    let adaptive = ExecutorPolicy::Adaptive {
         candidates: default_candidates(block_size),
-        patience: 2,
-        contention_limit: 0.0,
-        barrier_limit: 0.0,
-        ..AdaptiveConfig::default()
     };
     let start = Strategy::BlockPrivate { block_size };
     let configs: Vec<(Strategy, Option<ExecutorPolicy>)> = vec![
         (start, None),
         (Strategy::Atomic, None),
-        (start, Some(ExecutorPolicy::Adaptive(adaptive_cfg))),
+        (start, Some(adaptive)),
     ];
 
     println!("# adaptive_shift: dense front-loaded stream with a sparse tail");

@@ -1,34 +1,36 @@
-//! Online strategy adaptation for the region executor.
+//! Online strategy adaptation for the region executor — the workspace's
+//! one strategy selector.
 //!
 //! The paper frames strategy choice as depending on "the hardware,
-//! application, and input data" (§I) — but an [`crate::AutoTuner`] picks
-//! once, up front, and a long-running workload can drift away from that
-//! choice (PageRank's frontier collapsing, a histogram's key distribution
+//! application, and input data" (§I), and its outlook (§IX) asks for a
+//! generic reducer that takes that choice away from the user. A
+//! long-running workload can also drift away from any up-front choice
+//! (PageRank's frontier collapsing, a histogram's key distribution
 //! shifting from hot to scattered). This module closes the loop: after
 //! every region the executor scores its *current* strategy against the
-//! telemetry that region actually recorded, and when the score stays out
-//! of band for [`AdaptiveConfig::patience`] consecutive regions it
-//! migrates to the candidate the signals recommend.
+//! signals that region recorded, and when the score stays out of band
+//! for [`PATIENCE`] consecutive regions it migrates to the candidate the
+//! signals recommend.
 //!
-//! The cost model is deliberately made of the signals the repo already
-//! measures (nothing new is instrumented):
+//! The cost model is made only of **deterministic** signals — pure
+//! functions of the workload and the scratch budget, never of wall time
+//! or of the pool's topology — so the whole migration sequence is
+//! reproducible for a fixed region stream on any pool:
 //!
 //! * **applies per element** — region applies / output length, the
 //!   sparsity axis of §VII's summary. Privatizing strategies pay
 //!   per-touched-block setup + merge, so they want density; atomics and
 //!   keeper want sparsity.
-//! * **contention ratio** — [`crate::Counters::contention_ratio`]
-//!   (ownership-race losses + keeper forwards per apply).
-//! * **barrier fraction** — [`crate::PhaseTimes::barrier_fraction`], the
-//!   load-imbalance signal.
+//! * **scratch pressure** — region scratch bytes over the
+//!   [`crate::PlanBudget`] in force.
 //! * **plan deviation** — a replayed [`crate::RegionPlan`] that deviated
 //!   this region (the footprint moved under a cached plan).
 //!
 //! [`score`] maps those to a single mismatch number whose **hysteresis
 //! band is `[0, 1]`**: each component is normalized so `1.0` sits exactly
-//! at its configured limit, and the score is the worst component (plus a
+//! at its threshold, and the score is the worst component (plus a
 //! deviation surcharge). One bad region never migrates — the executor
-//! migrates only after `patience` consecutive out-of-band regions, and
+//! migrates only after `PATIENCE` consecutive out-of-band regions, and
 //! the streak resets on any in-band region, so oscillating workloads
 //! settle rather than thrash.
 //!
@@ -42,91 +44,34 @@ use crate::strategy::Strategy;
 /// How a [`crate::RegionExecutor`] picks its strategy across regions.
 #[derive(Debug, Clone, Default)]
 pub enum ExecutorPolicy {
-    /// Keep the construction-time strategy for every region (the
-    /// pre-adaptive behavior; migrations still happen if the caller
-    /// invokes [`crate::RegionExecutor::migrate_to`] explicitly).
+    /// Keep the construction-time strategy for every region (migrations
+    /// still happen if the caller invokes
+    /// [`crate::RegionExecutor::migrate_to`] explicitly).
     #[default]
     Fixed,
-    /// Score every region's telemetry and migrate when the cost model
-    /// says the current strategy is mismatched.
-    Adaptive(AdaptiveConfig),
+    /// Score every region against the cost model and migrate among
+    /// `candidates` when it says the current strategy is mismatched.
+    Adaptive {
+        /// Strategies the executor may migrate between
+        /// ([`default_candidates`] is the usual set). Forced-migration
+        /// testing (the `verify` feature) indexes into this list, so keep
+        /// it stable for a given seed.
+        candidates: Vec<Strategy>,
+    },
 }
 
-/// Tuning knobs for the adaptive cost model; see the module docs for the
-/// model itself. The defaults encode §VII's qualitative summary with
-/// round numbers — they are hysteresis thresholds, not measurements, and
-/// every one of them is overridable.
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfig {
-    /// Strategies the executor may migrate between. Forced-migration
-    /// testing (the `verify` feature) indexes into this list, so keep it
-    /// stable for a given seed.
-    pub candidates: Vec<Strategy>,
-    /// Applies/element at or above which a *non*-privatizing strategy
-    /// (atomic, keeper) is considered mismatched: every element is hit
-    /// this many times, so privatized blocks amortize.
-    pub dense_applies_per_elem: f64,
-    /// Applies/element at or below which a privatizing strategy is
-    /// considered mismatched: the merge walks a footprint that saw
-    /// almost no updates.
-    pub sparse_applies_per_elem: f64,
-    /// Contention ratio ([`crate::Counters::contention_ratio`]) above
-    /// which the current strategy is considered mismatched.
-    pub contention_limit: f64,
-    /// Barrier fraction ([`crate::PhaseTimes::barrier_fraction`]) above
-    /// which the current strategy is considered mismatched.
-    pub barrier_limit: f64,
-    /// Remote-apply ratio ([`RegionSignals::remote_ratio`]) above which
-    /// the current strategy is considered mismatched: too much of the
-    /// update stream is crossing NUMA-node shard boundaries, so a
-    /// strategy that pays a remote CAS per crossing should yield to
-    /// keeper's queued routing (one batched hand-off per queue flush).
-    /// `0.0` disables the axis.
-    pub remote_limit: f64,
-    /// Consecutive out-of-band regions required before migrating (the
-    /// hysteresis depth; at least 1).
-    pub patience: u32,
-}
+/// Applies/element at or above which a *non*-privatizing strategy
+/// (atomic, keeper, segmented) is mismatched: every element is hit this
+/// many times, so privatized blocks amortize.
+const DENSE_APPLIES_PER_ELEM: f64 = 4.0;
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            candidates: default_candidates(1024),
-            dense_applies_per_elem: 4.0,
-            sparse_applies_per_elem: 0.5,
-            contention_limit: 0.05,
-            barrier_limit: 0.5,
-            remote_limit: 0.25,
-            patience: 3,
-        }
-    }
-}
+/// Applies/element at or below which a privatizing strategy is
+/// mismatched: the merge walks a footprint that saw almost no updates.
+const SPARSE_APPLIES_PER_ELEM: f64 = 0.5;
 
-impl AdaptiveConfig {
-    /// A config whose organic migration decisions depend **only** on the
-    /// density signal (applies per element): the contention, barrier and
-    /// remote components are disabled by setting their limits to zero,
-    /// which the cost model treats as "never out of band on this axis".
-    ///
-    /// Density is a pure function of the workload, so under this config
-    /// the whole migration sequence is deterministic for a fixed job
-    /// stream — the envelope the differential verify oracles
-    /// (`check_adaptive_seed`, migrating fuzz scenarios) need: timing-borne
-    /// signals would let wall-clock noise change *which* strategies run,
-    /// and no seeded controller can replay that. The remote axis is
-    /// deterministic but *topology*-borne, and the NUMA oracle compares
-    /// sharded runs against a flat control — so it too must not steer
-    /// migrations here.
-    pub fn density_only(candidates: Vec<Strategy>) -> Self {
-        AdaptiveConfig {
-            candidates,
-            contention_limit: 0.0,
-            barrier_limit: 0.0,
-            remote_limit: 0.0,
-            ..AdaptiveConfig::default()
-        }
-    }
-}
+/// Consecutive out-of-band regions required before migrating (the
+/// hysteresis depth).
+pub(crate) const PATIENCE: u32 = 2;
 
 /// The default migration candidate set: the paper's competitive subset
 /// at `block_size`, plus a second `BlockPrivate` granularity (4×), so
@@ -148,26 +93,16 @@ pub fn default_candidates(block_size: usize) -> Vec<Strategy> {
 /// The per-region signals the cost model consumes, extracted from one
 /// region's [`crate::RunReport`] by the executor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionSignals {
+pub(crate) struct RegionSignals {
     /// Total applies this region / output array length.
-    pub applies_per_element: f64,
-    /// [`crate::Counters::contention_ratio`] of the region's totals.
-    pub contention_ratio: f64,
-    /// [`crate::PhaseTimes::barrier_fraction`] of the region.
-    pub barrier_fraction: f64,
-    /// [`crate::Counters::remote_applies`] / total applies of the
-    /// region's totals: the fraction of updates that crossed a NUMA-node
-    /// shard boundary (remote CAS under [`Strategy::Atomic`], cross-node
-    /// forwards under [`Strategy::Keeper`]). Always `0.0` on a flat
-    /// topology.
-    pub remote_ratio: f64,
+    pub(crate) applies_per_element: f64,
     /// A cached plan was replayed and deviated this region.
-    pub deviated: bool,
+    pub(crate) deviated: bool,
     /// Region scratch bytes ([`crate::RunReport::scratch_bytes`]) over
     /// the scratch budget in force; `0.0` when the budget is unlimited.
     /// Above `1.0` the strategy spent more privatization memory than the
     /// caller allows, which is a mismatch regardless of density.
-    pub scratch_pressure: f64,
+    pub(crate) scratch_pressure: f64,
 }
 
 /// Whether `s` pays per-touched-footprint privatization + merge costs
@@ -185,47 +120,45 @@ fn privatizes(s: Strategy) -> bool {
 /// Scores how mismatched `current` is to the observed `sig`.
 ///
 /// The hysteresis band is `[0, 1]`: each component is normalized so 1.0
-/// sits at its configured limit, the score is the **worst** component,
-/// and a deviating plan replay adds a 0.5 surcharge (deviation alone
+/// sits at its threshold, the score is the **worst** component, and a
+/// deviating plan replay adds a 0.5 surcharge (deviation alone
 /// re-records and heals, so it only tips a migration when paired with a
 /// borderline mismatch). A region with zero applies scores 0 — there is
 /// no evidence to migrate on.
-pub fn score(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -> f64 {
+pub(crate) fn score(current: Strategy, sig: &RegionSignals) -> f64 {
     let d = sig.applies_per_element;
     if d <= 0.0 {
         return 0.0;
     }
-    let mut worst: f64 = 0.0;
-    if privatizes(current) && cfg.sparse_applies_per_elem > 0.0 && d < cfg.sparse_applies_per_elem {
-        worst = worst.max(cfg.sparse_applies_per_elem / d);
-    }
-    if !privatizes(current) && cfg.dense_applies_per_elem > 0.0 {
-        worst = worst.max(d / cfg.dense_applies_per_elem);
-    }
-    if cfg.contention_limit > 0.0 {
-        worst = worst.max(sig.contention_ratio / cfg.contention_limit);
-    }
-    if cfg.barrier_limit > 0.0 {
-        worst = worst.max(sig.barrier_fraction / cfg.barrier_limit);
-    }
-    if cfg.remote_limit > 0.0 {
-        worst = worst.max(sig.remote_ratio / cfg.remote_limit);
-    }
+    let density = if privatizes(current) {
+        if d < SPARSE_APPLIES_PER_ELEM {
+            SPARSE_APPLIES_PER_ELEM / d
+        } else {
+            0.0
+        }
+    } else {
+        d / DENSE_APPLIES_PER_ELEM
+    };
     // Scratch over budget is a mismatch on any strategy (already
     // normalized: 1.0 = exactly at the budget, 0.0 = unlimited).
-    worst = worst.max(sig.scratch_pressure);
+    let worst = density.max(sig.scratch_pressure);
     if sig.deviated {
-        worst += 0.5;
+        worst + 0.5
+    } else {
+        worst
     }
-    worst
 }
 
 /// The candidate the signals recommend, given that [`score`] already
-/// left the band. Always returns a member of `cfg.candidates` or
-/// `current` itself (in which case the executor stays put).
-pub fn recommend(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -> Strategy {
+/// left the band. Always returns a member of `candidates` or `current`
+/// itself (in which case the executor stays put).
+pub(crate) fn recommend(
+    current: Strategy,
+    sig: &RegionSignals,
+    candidates: &[Strategy],
+) -> Strategy {
     let d = sig.applies_per_element;
-    let pick = |want: fn(&Strategy) -> bool| cfg.candidates.iter().copied().find(want);
+    let pick = |want: fn(&Strategy) -> bool| candidates.iter().copied().find(want);
     // Over the scratch budget: move to a bounded-scratch strategy —
     // segmented first (its promotions respect the budget and its buckets
     // keep locality), atomic as the zero-scratch fallback.
@@ -241,56 +174,31 @@ pub fn recommend(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -
             }
         }
     }
-    // Cross-node traffic dominates: route contributions through keeper
-    // queues (one batched hand-off per flush) instead of paying a remote
-    // CAS per apply. Checked before the sparse rule — a sparse scatter
-    // that is also remote-heavy must not land on atomic, the strategy
-    // whose per-apply remote cost triggered the migration.
-    if cfg.remote_limit > 0.0 && sig.remote_ratio > cfg.remote_limit {
-        if let Some(s) = pick(|s| matches!(s, Strategy::Keeper)) {
-            if s != current {
-                return s;
-            }
-        }
-    }
     // Sparse tail on a privatizing strategy: update in place, or buffer
     // through cache-resident buckets when atomics are not on offer.
-    if privatizes(current) && d > 0.0 && d < cfg.sparse_applies_per_elem {
-        if let Some(s) = pick(|s| matches!(s, Strategy::Atomic)) {
-            return s;
-        }
-        if let Some(s) = pick(|s| matches!(s, Strategy::Segmented { .. })) {
-            return s;
-        }
-        if let Some(s) = pick(|s| matches!(s, Strategy::Keeper)) {
+    if privatizes(current) && d > 0.0 && d < SPARSE_APPLIES_PER_ELEM {
+        if let Some(s) = pick(|s| matches!(s, Strategy::Atomic))
+            .or_else(|| pick(|s| matches!(s, Strategy::Segmented { .. })))
+            .or_else(|| pick(|s| matches!(s, Strategy::Keeper)))
+        {
             return s;
         }
     }
-    // Dense stream on an in-place strategy, or a contended claim-based
-    // one: privatize. Granularity scales with density — very dense
-    // regions amortize coarser blocks (fewer resolves and merge steps).
-    let wants_blocks = (!privatizes(current) && d >= cfg.dense_applies_per_elem)
-        || sig.contention_ratio > cfg.contention_limit;
-    if wants_blocks {
-        let mut sizes: Vec<usize> = cfg
-            .candidates
-            .iter()
-            .filter_map(|s| match s {
-                Strategy::BlockPrivate { block_size } => Some(*block_size),
-                _ => None,
-            })
-            .collect();
-        sizes.sort_unstable();
-        if !sizes.is_empty() {
-            let bs = if d >= 4.0 * cfg.dense_applies_per_elem {
-                *sizes.last().unwrap()
-            } else {
-                sizes[0]
-            };
-            let target = Strategy::BlockPrivate { block_size: bs };
-            if target != current {
-                return target;
-            }
+    // Dense stream on an in-place strategy: privatize. Granularity
+    // scales with density — very dense regions amortize coarser blocks
+    // (fewer resolves and merge steps).
+    if !privatizes(current) && d >= DENSE_APPLIES_PER_ELEM {
+        let sizes = candidates.iter().filter_map(|s| match s {
+            Strategy::BlockPrivate { block_size } => Some(*block_size),
+            _ => None,
+        });
+        let bs = if d >= 4.0 * DENSE_APPLIES_PER_ELEM {
+            sizes.max()
+        } else {
+            sizes.min()
+        };
+        if let Some(block_size) = bs {
+            return Strategy::BlockPrivate { block_size };
         }
         if let Some(s) = pick(|s| matches!(s, Strategy::Dense)) {
             return s;
@@ -304,8 +212,8 @@ pub fn recommend(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -
 /// [`ExecutorPolicy::Adaptive`]).
 #[derive(Debug, Clone)]
 pub(crate) struct AdaptiveState {
-    /// The cost-model configuration.
-    pub(crate) cfg: AdaptiveConfig,
+    /// The strategies the executor may migrate between.
+    pub(crate) candidates: Vec<Strategy>,
     /// Consecutive out-of-band regions so far.
     pub(crate) streak: u32,
     /// Regions this executor has completed (the `idx` fed to the
@@ -315,9 +223,9 @@ pub(crate) struct AdaptiveState {
 }
 
 impl AdaptiveState {
-    pub(crate) fn new(cfg: AdaptiveConfig) -> Self {
+    pub(crate) fn new(candidates: Vec<Strategy>) -> Self {
         AdaptiveState {
-            cfg,
+            candidates,
             streak: 0,
             region_seq: 0,
         }
@@ -331,9 +239,6 @@ mod tests {
     fn sig(density: f64) -> RegionSignals {
         RegionSignals {
             applies_per_element: density,
-            contention_ratio: 0.0,
-            barrier_fraction: 0.0,
-            remote_ratio: 0.0,
             deviated: false,
             scratch_pressure: 0.0,
         }
@@ -360,153 +265,70 @@ mod tests {
 
     #[test]
     fn scratch_pressure_breaks_band_and_routes_to_segmented() {
-        let cfg = AdaptiveConfig::default();
+        let cands = default_candidates(1024);
         let bp = Strategy::BlockPrivate { block_size: 1024 };
         // Comfortably dense, but 2x over the scratch budget: out of band.
         let mut s = sig(8.0);
-        assert!(score(bp, &s, &cfg) <= 1.0);
+        assert!(score(bp, &s) <= 1.0);
         s.scratch_pressure = 2.0;
-        assert!(score(bp, &s, &cfg) > 1.0);
+        assert!(score(bp, &s) > 1.0);
         // The recommendation is the bounded-scratch candidate.
         assert_eq!(
-            recommend(bp, &s, &cfg),
+            recommend(bp, &s, &cands),
             Strategy::Segmented { bucket_bits: 10 }
         );
         // Without a segmented candidate, fall back to atomic.
-        let no_seg = AdaptiveConfig {
-            candidates: cfg
-                .candidates
-                .iter()
-                .copied()
-                .filter(|c| !matches!(c, Strategy::Segmented { .. }))
-                .collect(),
-            ..cfg.clone()
-        };
+        let no_seg: Vec<Strategy> = cands
+            .iter()
+            .copied()
+            .filter(|c| !matches!(c, Strategy::Segmented { .. }))
+            .collect();
         assert_eq!(recommend(bp, &s, &no_seg), Strategy::Atomic);
         // Exactly at the budget is still in band.
         s.scratch_pressure = 1.0;
-        assert!(score(bp, &s, &cfg) <= 1.0);
-    }
-
-    #[test]
-    fn density_only_disables_timing_borne_signals() {
-        let cfg = AdaptiveConfig::density_only(default_candidates(64));
-        let bc = Strategy::BlockCas { block_size: 64 };
-        // Pathological contention and barrier waits: still in band.
-        let noisy = RegionSignals {
-            applies_per_element: 2.0,
-            contention_ratio: 1.0,
-            barrier_fraction: 1.0,
-            remote_ratio: 1.0,
-            deviated: false,
-            scratch_pressure: 0.0,
-        };
-        assert!(score(bc, &noisy, &cfg) <= 1.0);
-        // The density axis still works both ways.
-        assert!(score(bc, &sig(1.0 / 16.0), &cfg) > 1.0);
-        assert!(score(Strategy::Atomic, &sig(16.0), &cfg) > 1.0);
-    }
-
-    #[test]
-    fn remote_traffic_breaks_band_and_routes_to_keeper() {
-        let cfg = AdaptiveConfig::default();
-        // A sparse scatter on atomic is in band — until most of it
-        // crosses node shards, at which point the remote term trips and
-        // the recommendation is keeper's queued routing, *not* atomic
-        // (whose per-apply remote CAS is the cost being fled) and not a
-        // privatizer (the stream is still sparse).
-        let mut s = sig(0.25);
-        assert!(score(Strategy::Atomic, &s, &cfg) <= 1.0);
-        s.remote_ratio = 0.6;
-        assert!(score(Strategy::Atomic, &s, &cfg) > 1.0);
-        assert_eq!(recommend(Strategy::Atomic, &s, &cfg), Strategy::Keeper);
-        // Keeper itself stays put: its crossings are already queued.
-        assert_eq!(recommend(Strategy::Keeper, &s, &cfg), Strategy::Keeper);
-        // density_only disables the axis (topology-borne signal).
-        let det = AdaptiveConfig::density_only(default_candidates(1024));
-        assert!(score(Strategy::Atomic, &s, &det) <= 1.0);
-        // Without a keeper candidate the rule falls through to the
-        // density rules, which keep the sparse stream where it is.
-        let no_keeper = AdaptiveConfig {
-            candidates: cfg
-                .candidates
-                .iter()
-                .copied()
-                .filter(|c| !matches!(c, Strategy::Keeper))
-                .collect(),
-            ..cfg.clone()
-        };
-        assert_eq!(
-            recommend(Strategy::Atomic, &s, &no_keeper),
-            Strategy::Atomic
-        );
+        assert!(score(bp, &s) <= 1.0);
     }
 
     #[test]
     fn score_band_tracks_density_mismatch() {
-        let cfg = AdaptiveConfig::default();
         let bp = Strategy::BlockPrivate { block_size: 1024 };
         // Dense stream on a privatizer: at home.
-        assert!(score(bp, &sig(16.0), &cfg) <= 1.0);
+        assert!(score(bp, &sig(16.0)) <= 1.0);
         // Sparse tail on a privatizer: far out of band (0.5 / (1/16) = 8).
-        assert!(score(bp, &sig(1.0 / 16.0), &cfg) > 4.0);
+        assert!(score(bp, &sig(1.0 / 16.0)) > 4.0);
         // The mirror image for atomics.
-        assert!(score(Strategy::Atomic, &sig(1.0 / 16.0), &cfg) <= 1.0);
-        assert!(score(Strategy::Atomic, &sig(16.0), &cfg) > 1.0);
+        assert!(score(Strategy::Atomic, &sig(1.0 / 16.0)) <= 1.0);
+        assert!(score(Strategy::Atomic, &sig(16.0)) > 1.0);
         // No applies: no evidence, never out of band.
-        assert_eq!(score(bp, &sig(0.0), &cfg), 0.0);
+        assert_eq!(score(bp, &sig(0.0)), 0.0);
     }
 
     #[test]
-    fn score_penalizes_contention_barrier_and_deviation() {
-        let cfg = AdaptiveConfig::default();
+    fn score_penalizes_deviation() {
         let bc = Strategy::BlockCas { block_size: 1024 };
         let mut s = sig(2.0);
-        let base = score(bc, &s, &cfg);
-        s.contention_ratio = 2.0 * cfg.contention_limit;
-        assert!(score(bc, &s, &cfg) >= 2.0_f64.max(base));
-        s.contention_ratio = 0.0;
-        s.barrier_fraction = 2.0 * cfg.barrier_limit;
-        assert!(score(bc, &s, &cfg) >= 2.0);
-        s.barrier_fraction = 0.0;
+        let base = score(bc, &s);
         s.deviated = true;
-        assert_eq!(score(bc, &s, &cfg), base + 0.5);
+        assert_eq!(score(bc, &s), base + 0.5);
     }
 
     #[test]
     fn recommend_flips_between_atomic_and_blocks() {
-        let cfg = AdaptiveConfig::default();
+        let cands = default_candidates(1024);
         let bp = Strategy::BlockPrivate { block_size: 1024 };
         // Privatizer gone sparse → atomic.
-        assert_eq!(recommend(bp, &sig(1.0 / 16.0), &cfg), Strategy::Atomic);
+        assert_eq!(recommend(bp, &sig(1.0 / 16.0), &cands), Strategy::Atomic);
         // Atomic gone moderately dense → the finer BlockPrivate.
-        assert_eq!(recommend(Strategy::Atomic, &sig(6.0), &cfg), bp);
+        assert_eq!(recommend(Strategy::Atomic, &sig(6.0), &cands), bp);
         // Atomic gone very dense → the coarser granularity.
         assert_eq!(
-            recommend(Strategy::Atomic, &sig(64.0), &cfg),
+            recommend(Strategy::Atomic, &sig(64.0), &cands),
             Strategy::BlockPrivate { block_size: 4096 }
         );
-        // Contended CAS claims at moderate density → full privatization.
-        let contended = RegionSignals {
-            applies_per_element: 2.0,
-            contention_ratio: 0.2,
-            barrier_fraction: 0.0,
-            remote_ratio: 0.0,
-            deviated: false,
-            scratch_pressure: 0.0,
-        };
-        assert_eq!(
-            recommend(Strategy::BlockCas { block_size: 1024 }, &contended, &cfg),
-            bp
-        );
         // In-band signals recommend staying put.
-        assert_eq!(recommend(bp, &sig(8.0), &cfg), bp);
+        assert_eq!(recommend(bp, &sig(8.0), &cands), bp);
         // Recommendations are drawn from the candidate list: with no
         // atomic/keeper candidate, a sparse privatizer stays put.
-        let narrow = AdaptiveConfig {
-            candidates: vec![bp],
-            ..AdaptiveConfig::default()
-        };
-        assert_eq!(recommend(bp, &sig(0.01), &narrow), bp);
+        assert_eq!(recommend(bp, &sig(0.01), &[bp]), bp);
     }
 }

@@ -61,7 +61,7 @@
 //! vectors), [`BlockReduction::into_scratch`] /
 //! [`BlockReduction::from_scratch`] detach the scratch from the borrow and
 //! reattach it to the next region's array — see also
-//! [`crate::ReusableReducer`] for the strategy-dispatched form.
+//! [`crate::RegionExecutor`] for the strategy-dispatched form.
 //!
 //! # Safety protocol
 //! During the loop phase a block of the original array is written only by

@@ -2,17 +2,13 @@
 //!
 //! Every runtime-dispatched path into a reduction region routes through
 //! [`RegionExecutor::run`]: [`crate::reduce_strategy`] (one-shot regions),
-//! [`crate::reduce_dyn`] (closure bodies), [`ReusableReducer`] (the
-//! region-reuse API, now an alias of the executor), and
-//! [`crate::AutoTuner`] (online strategy selection). The `match` over
-//! [`Strategy`] variants in [`RegionExecutor::run`] is the only place in
-//! the workspace that turns a `Strategy` value into a concrete
-//! [`Reduction`] — previously this dispatch existed in three near-identical
-//! copies (`reduce_strategy`, `ReusableReducer::run`, and indirectly the
-//! autotuner), each a chance for the copies to drift.
+//! [`crate::reduce_dyn`] (closure bodies), iterative callers holding an
+//! executor across regions, and [`ExecutorPolicy::Adaptive`] (online
+//! strategy selection). The `match` over [`Strategy`] variants in
+//! [`RegionExecutor::run`] is the only place in the workspace that turns
+//! a `Strategy` value into a concrete [`Reduction`].
 //!
-//! The executor also owns the two cross-cutting concerns the copies used
-//! to split between them:
+//! The executor also owns two cross-cutting concerns:
 //!
 //! * **scratch retention** — block-reducer allocations are detached after
 //!   each region ([`crate::BlockReduction::into_scratch`]) and re-attached
@@ -23,7 +19,7 @@
 //!   strategy's own counters are snapshotted into the returned
 //!   [`RunReport`].
 
-use crate::adaptive::{recommend, score, AdaptiveState, ExecutorPolicy, RegionSignals};
+use crate::adaptive::{recommend, score, AdaptiveState, ExecutorPolicy, RegionSignals, PATIENCE};
 use crate::arena::ArenaPool;
 use crate::atomic::AtomicReduction;
 use crate::block::{
@@ -222,10 +218,6 @@ pub struct RegionExecutor<T: crate::Element, O: ReduceOp<T>> {
     _op: PhantomData<fn() -> O>,
 }
 
-/// The region-reuse API name from earlier revisions; the executor *is*
-/// the reusable reducer now that dispatch and retention live in one type.
-pub type ReusableReducer<T, O> = RegionExecutor<T, O>;
-
 impl<T: crate::Element, O: ReduceOp<T>> std::fmt::Debug for RegionExecutor<T, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegionExecutor")
@@ -246,9 +238,9 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// An executor that starts on `strategy` and selects strategies per
     /// `policy`: [`ExecutorPolicy::Fixed`] behaves exactly like
     /// [`new`](RegionExecutor::new); [`ExecutorPolicy::Adaptive`] scores
-    /// every region's telemetry against the cost model in
-    /// [`crate::AdaptiveConfig`] and, after `patience` consecutive
-    /// out-of-band regions, migrates via
+    /// every region against the deterministic density / scratch-pressure
+    /// cost model and, after two consecutive out-of-band regions,
+    /// migrates via
     /// [`migrate_to`](RegionExecutor::migrate_to).
     pub fn with_policy(strategy: Strategy, policy: ExecutorPolicy) -> Self {
         Self::with_shared(strategy, policy, Arc::new(ExecutorShared::new()))
@@ -277,7 +269,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             shared,
             adaptive: match policy {
                 ExecutorPolicy::Fixed => None,
-                ExecutorPolicy::Adaptive(cfg) => Some(AdaptiveState::new(cfg)),
+                ExecutorPolicy::Adaptive { candidates } => Some(AdaptiveState::new(candidates)),
             },
             migrations: 0,
             migration_secs: 0.0,
@@ -322,7 +314,9 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// The executor's strategy-selection policy.
     pub fn policy(&self) -> ExecutorPolicy {
         match &self.adaptive {
-            Some(st) => ExecutorPolicy::Adaptive(st.cfg.clone()),
+            Some(st) => ExecutorPolicy::Adaptive {
+                candidates: st.candidates.clone(),
+            },
             None => ExecutorPolicy::Fixed,
         }
     }
@@ -386,7 +380,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     ///    executor detaches scratch, so at a region boundary the scratch
     ///    holds no pending updates; dropping it completes the old
     ///    strategy's epoch.
-    /// 2. **Invalidate** — cached [`RegionPlan`]s describe the old
+    /// 2. **Invalidate** — cached [`RegionPlan`](crate::RegionPlan)s describe the old
     ///    strategy's execution shape; [`clear_plans`](RegionExecutor::clear_plans)
     ///    drops them (and their stats epoch) so the new strategy
     ///    re-records lazily on its first planned region.
@@ -441,7 +435,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     }
 
     /// Like [`run`](RegionExecutor::run), but caches and replays a
-    /// [`RegionPlan`] for the region identified by `region`.
+    /// [`crate::RegionPlan`] for the region identified by `region`.
     ///
     /// The first call with a given id runs in **recording mode**: the
     /// region executes exactly as unplanned would, except the footprint it
@@ -504,8 +498,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         // the cached plan if the caller named a region, execute, detach
         // the scratch for the next region. A failed install (shape
         // mismatch) or a deviating replay rebuilds the plan from the
-        // region's recorded footprint. One expansion per flavor replaces
-        // the three hand-written copies the old `ReusableReducer` carried.
+        // region's recorded footprint. One expansion per flavor.
         macro_rules! block {
             ($Red:ident, $Scratch:path, $bs:expr) => {{
                 let mut red = match retained {
@@ -788,7 +781,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
 
     /// The adaptive policy's post-region decision: score this region's
     /// signals, and migrate once the score has been out of the `[0, 1]`
-    /// hysteresis band for `patience` consecutive regions. Under the
+    /// hysteresis band for [`PATIENCE`] consecutive regions. Under the
     /// `verify` feature the schedule controller can instead *force* a
     /// migration to a planted candidate at any region boundary, making
     /// the whole migration sequence a pure function of the seed. A no-op
@@ -799,10 +792,10 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         };
         let seq = st.region_seq;
         st.region_seq += 1;
-        let ncand = st.cfg.candidates.len() as u64;
+        let ncand = st.candidates.len() as u64;
         let target = if let Some(k) = ompsim::verify::migration_choice(seq, ncand) {
             st.streak = 0;
-            st.cfg.candidates.get(k as usize).copied()
+            st.candidates.get(k as usize).copied()
         } else {
             let totals = report.counters.totals();
             let signals = RegionSignals {
@@ -811,13 +804,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                 } else {
                     totals.applies as f64 / len as f64
                 },
-                contention_ratio: totals.contention_ratio(),
-                barrier_fraction: report.phases.barrier_fraction(),
-                remote_ratio: if totals.applies == 0 {
-                    0.0
-                } else {
-                    totals.remote_applies as f64 / totals.applies as f64
-                },
                 deviated,
                 scratch_pressure: if report.budget_bytes == 0 {
                     0.0
@@ -825,11 +811,11 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                     report.scratch_bytes as f64 / report.budget_bytes as f64
                 },
             };
-            if score(self.strategy, &signals, &st.cfg) > 1.0 {
+            if score(self.strategy, &signals) > 1.0 {
                 st.streak += 1;
-                if st.streak >= st.cfg.patience.max(1) {
+                if st.streak >= PATIENCE {
                     st.streak = 0;
-                    Some(recommend(self.strategy, &signals, &st.cfg))
+                    Some(recommend(self.strategy, &signals, &st.candidates))
                 } else {
                     None
                 }
@@ -1108,19 +1094,16 @@ mod tests {
     fn adaptive_migrates_on_sparsity_shift() {
         // Dense phase (16 applies/element) keeps BlockPrivate in band;
         // after the workload turns sparse (1/16 applies/element) the
-        // score leaves the band and, after `patience` regions, the
+        // score leaves the band and, after `PATIENCE` regions, the
         // executor must migrate to Atomic — while every region's result
         // stays exact.
         let pool = ompsim::ThreadPool::new(4);
         let bins = 4096;
-        let cfg = crate::AdaptiveConfig {
-            candidates: crate::default_candidates(64),
-            patience: 3,
-            ..crate::AdaptiveConfig::default()
-        };
         let mut ex = RegionExecutor::<i64, Sum>::with_policy(
             Strategy::BlockPrivate { block_size: 64 },
-            crate::ExecutorPolicy::Adaptive(cfg),
+            crate::ExecutorPolicy::Adaptive {
+                candidates: crate::default_candidates(64),
+            },
         );
         let kernel = DialedScatter { bins };
         let mut last = None;

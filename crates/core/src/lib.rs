@@ -70,7 +70,6 @@ mod adaptive;
 pub mod arena;
 mod argmax;
 mod atomic;
-mod autotune;
 mod block;
 mod delta;
 mod dense;
@@ -91,14 +90,10 @@ mod strategy;
 mod telemetry;
 pub mod verify;
 
-pub use adaptive::{
-    default_candidates, recommend, score as adaptive_score, AdaptiveConfig, ExecutorPolicy,
-    RegionSignals,
-};
+pub use adaptive::{default_candidates, ExecutorPolicy};
 pub use arena::{ArenaPool, BlockArena};
 pub use argmax::{MaxAt, MinAt, ValueAt};
 pub use atomic::{AtomicReduction, AtomicView};
-pub use autotune::AutoTuner;
 pub use block::{
     BlockCasReduction, BlockCasScratch, BlockLockReduction, BlockLockScratch,
     BlockPrivateReduction, BlockPrivateScratch, BlockReduction, BlockScratch, BlockView,
@@ -108,7 +103,7 @@ pub use dense::{DenseReduction, DenseView};
 pub use elem::{
     AtomicElement, Element, Max, Min, OpKind, OrdOps, Prod, ProdOps, ReduceOp, Sum, SumOps,
 };
-pub use executor::{ExecutorShared, RegionExecutor, ReusableReducer};
+pub use executor::{ExecutorShared, RegionExecutor};
 pub use hybrid::{HybridReduction, HybridView};
 pub use kahan::Kahan64;
 pub use keeper::{KeeperReduction, KeeperView};
@@ -120,7 +115,4 @@ pub use reducer::{
 };
 pub use segmented::{SegmentedReduction, SegmentedScratch, SegmentedView};
 pub use strategy::{reduce_dyn, reduce_strategy, Kernel, ParseStrategyError, Strategy};
-pub use telemetry::{
-    Counters, JsonWriter, PhaseTimes, ProfilingReduction, ProfilingView, ReductionProfile,
-    RunReport, Telemetry, ThreadProfile, PAGE,
-};
+pub use telemetry::{Counters, JsonWriter, PhaseTimes, RunReport, Telemetry};

@@ -251,8 +251,7 @@ pub trait Kernel<T: crate::Element>: Sync {
 ///
 /// This is a one-shot convenience over [`RegionExecutor`]: it builds a
 /// throwaway executor per call, so nothing is retained between regions.
-/// Iterative callers should hold a [`RegionExecutor`] (alias
-/// [`crate::ReusableReducer`]) instead.
+/// Iterative callers should hold a [`RegionExecutor`] instead.
 pub fn reduce_strategy<T, O, K>(
     strategy: Strategy,
     pool: &ThreadPool,
@@ -299,7 +298,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ReusableReducer, Sum};
+    use crate::{RegionExecutor, Sum};
 
     #[test]
     fn labels_match_paper_naming() {
@@ -413,7 +412,7 @@ mod tests {
         let kernel = Histogram { data: &data };
 
         for strategy in Strategy::all(16) {
-            let mut reducer = ReusableReducer::<i64, Sum>::new(strategy);
+            let mut reducer = RegionExecutor::<i64, Sum>::new(strategy);
             // Alternate between two buffers (PageRank-style swap) over
             // several regions; each region must match a fresh run.
             let mut bufs = [vec![0i64; n_bins], vec![0i64; n_bins]];

@@ -241,15 +241,14 @@ pub struct AdaptiveStats {
 /// Regions per phase of the adaptive sweep's shifted workload.
 const ADAPTIVE_PHASE_REGIONS: usize = 4;
 
-/// The oracle's adaptive policy: density-only over the default
-/// candidates. With the timing-fed and topology-fed axes off, the cost
-/// model — and with it the whole migration sequence, cost-model and
-/// planted alike — is a pure function of the seed on any pool.
+/// The oracle's adaptive policy — the shipped one, over the default
+/// candidates. Its cost model reads only deterministic signals, so the
+/// whole migration sequence, cost-model and planted alike, is a pure
+/// function of the seed on any pool.
 pub fn adaptive_policy() -> crate::ExecutorPolicy {
-    crate::ExecutorPolicy::Adaptive(crate::AdaptiveConfig {
-        patience: 2,
-        ..crate::AdaptiveConfig::density_only(crate::default_candidates(BLOCK))
-    })
+    crate::ExecutorPolicy::Adaptive {
+        candidates: crate::default_candidates(BLOCK),
+    }
 }
 
 fn check_adaptive_elem<T: OracleElem>(
@@ -305,11 +304,10 @@ where
 
 /// Differential oracle over the adaptive executor: a multi-region sweep
 /// whose workload shifts from a dense front-loaded stream to a sparse
-/// tail mid-run, executed by a density-only
-/// [`crate::ExecutorPolicy::Adaptive`] executor **and** every fixed
-/// candidate over the same regions, each region compared against the
-/// sequential reduction — bit-for-bit for i64, within reassociation
-/// tolerance for f64.
+/// tail mid-run, executed by an [`adaptive_policy`] executor **and**
+/// every fixed candidate over the same regions, each region compared
+/// against the sequential reduction — bit-for-bit for i64, within
+/// reassociation tolerance for f64.
 ///
 /// Always compiled: with no `verify` session bound, migrations come from
 /// the cost model alone, and the dense→sparse shift is steep enough that
@@ -435,7 +433,7 @@ pub mod fuzz {
             }
         }
 
-        /// A fresh executor: density-only adaptive over the default
+        /// A fresh executor: the shipped adaptive policy over the default
         /// candidates when `migrate` (so cost-model and planted
         /// migrations both replay from the seed), fixed otherwise; under
         /// the scenario's budget either way.
@@ -971,18 +969,23 @@ mod tests {
 
     #[test]
     fn adaptive_oracle_migrations_do_not_depend_on_topology() {
+        // The shipped policy reads no timing- or topology-borne signal,
+        // so flat pools of any width and the sharded 2x2 pool must
+        // agree on every migration.
         for seed in 0..6 {
-            let run = |topo| {
-                let pool = ThreadPool::with_topology(4, topo);
+            let run = |threads, topo| {
+                let pool = ThreadPool::with_topology(threads, topo);
                 let s = check_adaptive_seed(&pool, seed).expect("adaptive sweep exact");
                 (s.migrations, s.strategy_regions)
             };
-            let flat = run(ompsim::Topology::flat(4));
-            let sharded = run(ompsim::Topology::new(2, 2));
-            assert_eq!(
-                flat, sharded,
-                "seed {seed}: migrations followed the topology"
-            );
+            let sharded = run(4, ompsim::Topology::new(2, 2));
+            for threads in [1, 2, 4] {
+                let flat = run(threads, ompsim::Topology::flat(threads));
+                assert_eq!(
+                    flat, sharded,
+                    "seed {seed}: migrations followed the topology ({threads}-thread flat pool)"
+                );
+            }
         }
     }
 

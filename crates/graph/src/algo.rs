@@ -3,7 +3,7 @@
 use crate::Graph;
 use ompsim::{Schedule, ThreadPool};
 use spray::{
-    reduce_strategy, ExecutorPolicy, Kernel, Min, PlanBudget, ReducerView, ReusableReducer,
+    reduce_strategy, ExecutorPolicy, Kernel, Min, PlanBudget, ReducerView, RegionExecutor,
     RunReport, Strategy, Sum,
 };
 
@@ -117,7 +117,7 @@ pub fn pagerank_with_budget(
     // Reducer scratch survives the rank-vector swap: block strategies
     // allocate their status tables and private copies once, on the first
     // power iteration.
-    let mut reducer = ReusableReducer::<f64, Sum>::with_policy(strategy, policy);
+    let mut reducer = RegionExecutor::<f64, Sum>::with_policy(strategy, policy);
     reducer.set_budget(budget);
     let mut last_report = None;
     let mut total_applies = 0u64;
@@ -283,7 +283,7 @@ pub fn connected_components_with_policy(
 ) -> Vec<u64> {
     let n = g.num_vertices();
     let mut labels: Vec<u64> = (0..n as u64).collect();
-    let mut reducer = ReusableReducer::<u64, Min>::with_policy(strategy, policy);
+    let mut reducer = RegionExecutor::<u64, Min>::with_policy(strategy, policy);
     loop {
         let prev = labels.clone();
         let kernel = LabelKernel { g, prev: &prev };
@@ -322,7 +322,7 @@ pub fn bfs(pool: &ThreadPool, g: &Graph, src: usize, strategy: Strategy) -> Vec<
     dist[src] = 0;
     let mut frontier: Vec<u32> = vec![src as u32];
     let mut level = 0u64;
-    let mut reducer = ReusableReducer::<u64, Min>::new(strategy);
+    let mut reducer = RegionExecutor::<u64, Min>::new(strategy);
     while !frontier.is_empty() {
         let kernel = RelaxKernel {
             g,
@@ -658,7 +658,9 @@ mod tests {
         // cost model decides.
         let g = Graph::de_bruijn(8);
         let strategy = Strategy::BlockPrivate { block_size: 64 };
-        let policy = ExecutorPolicy::Adaptive(spray::AdaptiveConfig::default());
+        let policy = ExecutorPolicy::Adaptive {
+            candidates: spray::default_candidates(1024),
+        };
 
         let fixed = pagerank(&pool(), &g, strategy, 0.85, 1e-12, 100);
         let adaptive =

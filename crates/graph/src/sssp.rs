@@ -8,7 +8,7 @@
 
 use crate::Graph;
 use ompsim::{Schedule, ThreadPool};
-use spray::{ExecutorPolicy, Kernel, Min, ReducerView, ReusableReducer, Strategy};
+use spray::{ExecutorPolicy, Kernel, Min, ReducerView, RegionExecutor, Strategy};
 
 /// A directed graph with nonnegative `f64` edge weights, sharing
 /// [`Graph`]'s CSR topology.
@@ -103,7 +103,7 @@ pub fn sssp_with_policy(
     // point. Each round relaxes against the previous round's distances
     // (Jacobi-style) so the reduction output never aliases its input. The
     // reusable reducer carries block scratch across relaxation rounds.
-    let mut reducer = ReusableReducer::<f64, Min>::with_policy(strategy, policy);
+    let mut reducer = RegionExecutor::<f64, Min>::with_policy(strategy, policy);
     for _ in 0..n.max(1) {
         let prev = dist.clone();
         let kernel = RelaxAll { g, dist: &prev };
@@ -225,7 +225,9 @@ mod tests {
             &g,
             0,
             Strategy::BlockPrivate { block_size: 8 },
-            ExecutorPolicy::Adaptive(spray::AdaptiveConfig::default()),
+            ExecutorPolicy::Adaptive {
+                candidates: spray::default_candidates(1024),
+            },
         );
         for (i, (a, b)) in got.iter().zip(&want).enumerate() {
             assert!(

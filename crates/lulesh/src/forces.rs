@@ -23,7 +23,7 @@
 use crate::domain::Domain;
 use crate::hex::{node_normals, GAMMA};
 use ompsim::{Schedule, ThreadPool};
-use spray::{ExecutorPolicy, Kernel, PlanBudget, ReducerView, ReusableReducer, Strategy, Sum};
+use spray::{ExecutorPolicy, Kernel, PlanBudget, ReducerView, RegionExecutor, Strategy, Sum};
 
 /// How nodal force contributions are accumulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +256,7 @@ pub struct ForceStats {
 /// value.
 pub struct ForceAccum {
     scheme: ForceScheme,
-    reducer: Option<ReusableReducer<f64, Sum>>,
+    reducer: Option<RegionExecutor<f64, Sum>>,
     /// Retained 8-replica buffer for [`ForceScheme::EightCopy`].
     copies: Vec<f64>,
 }
@@ -289,7 +289,7 @@ impl ForceAccum {
             scheme,
             reducer: match scheme {
                 ForceScheme::Spray(s) => {
-                    let mut r = ReusableReducer::with_policy(s, policy);
+                    let mut r = RegionExecutor::with_policy(s, policy);
                     r.set_budget(budget);
                     Some(r)
                 }
@@ -623,7 +623,9 @@ mod tests {
         let pool = ThreadPool::new(4);
         let mut accum = ForceAccum::with_policy(
             ForceScheme::Spray(Strategy::BlockPrivate { block_size: 64 }),
-            ExecutorPolicy::Adaptive(spray::AdaptiveConfig::default()),
+            ExecutorPolicy::Adaptive {
+                candidates: spray::default_candidates(1024),
+            },
         );
         // Several timesteps' worth of sweeps so the cost model gets a
         // chance to migrate; every sweep must stay exact either way.

@@ -79,9 +79,9 @@ fn case_jobs(seed: u64) -> Vec<CaseJob> {
         .collect()
 }
 
-/// The scenario's service: its team and starting strategy, the oracle's
-/// density-only adaptive policy when it migrates (so planted migrations
-/// replay), and a seed-drawn loop schedule.
+/// The scenario's service: its team and starting strategy, the shipped
+/// adaptive policy when it migrates (so planted migrations replay), and
+/// a seed-drawn loop schedule.
 fn service_cfg(sc: &Scenario, batch_window: usize, pipeline: bool) -> ServiceConfig {
     ServiceConfig {
         threads: sc.threads,

@@ -297,7 +297,9 @@ mod tests {
         let pool = ThreadPool::new(4);
         let mut tmv = PlannedTmv::with_policy(
             Strategy::BlockCas { block_size: 32 },
-            ExecutorPolicy::Adaptive(spray::AdaptiveConfig::default()),
+            ExecutorPolicy::Adaptive {
+                candidates: spray::default_candidates(1024),
+            },
         );
         for rep in 0..4 {
             let mut y = vec![0.0f64; 256];

@@ -1,11 +1,11 @@
 //! The performance-portability endgame (paper §IX): let the library pick
 //! the strategy.
 //!
-//! Two complementary mechanisms on the same repeated workload:
-//! 1. **Profile-guided**: run once with a `ProfilingReduction`, inspect
-//!    the measured access pattern, take its recommendation.
-//! 2. **Online auto-tuning**: hand the repeated reduction to `AutoTuner`,
-//!    which trials every candidate and settles on the measured winner.
+//! One adaptive executor runs a repeated reduction. It starts on atomics;
+//! after every region the executor's cost model compares the region's
+//! density (applies per output element) with the current strategy, and
+//! once the mismatch persists it migrates to a better candidate. The
+//! example prints which strategies ran how many regions.
 //!
 //! ```sh
 //! cargo run --release --example self_tuning
@@ -13,7 +13,7 @@
 
 use ompsim::{Schedule, ThreadPool};
 use spray::{
-    reduce_chunked, AtomicReduction, AutoTuner, Kernel, ProfilingReduction, ReducerView, Sum,
+    default_candidates, ExecutorPolicy, Kernel, ReducerView, RegionExecutor, Strategy, Sum,
 };
 use std::time::Instant;
 
@@ -66,56 +66,31 @@ fn main() {
     let pool = ThreadPool::new(4);
     let kernel = Push::synthetic(n);
     println!(
-        "workload: {} scatters into {n} locations, {} threads\n",
+        "workload: {} scatters into {n} locations, {} threads",
         kernel.targets.len(),
         pool.num_threads()
     );
 
-    // --- 1. Profile-guided choice ---
-    let mut probe = vec![0.0f64; n];
-    let profiled = ProfilingReduction::new(AtomicReduction::<f64, Sum>::new(&mut probe, 4));
-    reduce_chunked(&pool, &profiled, 0..n, Schedule::default(), |v, chunk| {
-        for u in chunk {
-            kernel.item(v, u);
-        }
-    });
-    let profile = profiled.profile();
-    println!("profile: {} updates total", profile.total_updates());
-    for (t, p) in profile.per_thread.iter().enumerate() {
-        println!(
-            "  thread {t}: {} updates over [{:?}..{:?}], {} pages touched ({:.1} upd/page)",
-            p.updates,
-            p.min_index,
-            p.max_index,
-            p.distinct_pages,
-            p.updates_per_page()
-        );
-    }
-    let recommended = profile.recommend(n);
-    println!("profile recommendation: {}\n", recommended.label());
-
-    // --- 2. Online auto-tuning over repeated invocations ---
-    let mut tuner = AutoTuner::with_default_candidates(1024);
+    let mut ex = RegionExecutor::<f64, Sum>::with_policy(
+        Strategy::Atomic,
+        ExecutorPolicy::Adaptive {
+            candidates: default_candidates(1024),
+        },
+    );
     let mut out = vec![0.0f64; n];
-    let t0 = Instant::now();
     let rounds = 30;
+    let t0 = Instant::now();
     for _ in 0..rounds {
         out.fill(0.0);
-        tuner.run::<f64, Sum, _>(&pool, &mut out, 0..n, Schedule::default(), &kernel);
+        ex.run(&pool, &mut out, 0..n, Schedule::default(), &kernel);
+        assert_eq!(out.iter().sum::<f64>() as usize, kernel.targets.len());
     }
     let elapsed = t0.elapsed().as_secs_f64();
 
-    println!("auto-tuner after {rounds} rounds ({elapsed:.2} s total):");
-    for (s, mean) in tuner.measurements() {
-        match mean {
-            Some(m) => println!("  {:<20} {:.4} s/round", s.label(), m),
-            None => println!("  {:<20} (never tried)", s.label()),
-        }
+    println!("adaptive executor after {rounds} rounds ({elapsed:.2} s total):");
+    println!("  migrations: {}", ex.migrations());
+    for (label, regions) in ex.strategy_regions() {
+        println!("  {label:<20} {regions} regions");
     }
-    println!(
-        "settled on: {} (settled = {})",
-        tuner.best().map(|s| s.label()).unwrap_or_default(),
-        tuner.settled()
-    );
-    assert_eq!(out.iter().sum::<f64>() as u64, kernel.targets.len() as u64);
+    println!("settled on: {}", ex.strategy().label());
 }

@@ -12,16 +12,14 @@
 //!   associativity-proof and the comparison can be exact.
 //! * **Allocation shape.** Privatizing `k` blocks must cost `O(log k)`
 //!   slab allocations per thread (doubling growth), not `k` boxed-slice
-//!   allocations — verified with the `memtrack` counting allocator.
+//!   allocations — verified with the `memtrack` counting allocator in
+//!   `tests/alloc_counts.rs`.
 
 use ompsim::{Schedule, ThreadPool};
 use proptest::prelude::*;
 use spray::{
     reduce_strategy, AtomicElement, Kernel, Max, Min, ReduceOp, ReducerView, Strategy, Sum,
 };
-
-#[global_allocator]
-static ALLOC: memtrack::CountingAlloc = memtrack::CountingAlloc;
 
 /// An explicit update stream: iteration `i` performs `updates[i]`.
 struct StreamKernel<'a, T> {
@@ -154,51 +152,4 @@ identity_props! {
     sums_bit_exact_usize: usize, Sum, |x| x as usize;
     min_bit_exact_f64: f64, Min, |x| x as f64;
     max_bit_exact_i64: i64, Max, |x| x as i64;
-}
-
-/// Privatizing every block of the array must allocate like a slab arena
-/// (a handful of doubling slabs per thread), not like the seed's
-/// one-`Box<[T]>`-per-block storage: strictly fewer heap allocations
-/// than privatized blocks, for the whole region end to end.
-#[test]
-fn arena_allocates_slabs_not_per_block() {
-    let n = 8192usize;
-    let block = 64usize; // 128 blocks, each privatized by exactly one thread
-    let pool = ThreadPool::new(4);
-    let mut out = vec![0.0f64; n];
-
-    struct TouchAll;
-    impl Kernel<f64> for TouchAll {
-        fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
-            view.apply(i, 1.0);
-        }
-    }
-
-    let before = memtrack::total_allocations();
-    let report = reduce_strategy::<f64, Sum, _>(
-        Strategy::BlockPrivate { block_size: block },
-        &pool,
-        &mut out,
-        0..n,
-        Schedule::default(),
-        &TouchAll,
-    );
-    let allocs = memtrack::total_allocations() - before;
-
-    let privatized = report.counters.totals().fallback_privatizations;
-    assert_eq!(
-        privatized,
-        (n / block) as u64,
-        "every block privatizes once"
-    );
-    // The region's *entire* allocation count — bookkeeping vectors, slabs,
-    // report strings and all — must stay below one allocation per
-    // privatized block; the seed's boxed-slice storage alone used one per
-    // block before any bookkeeping.
-    assert!(
-        (allocs as u64) < privatized,
-        "region allocated {allocs} times for {privatized} privatized blocks — \
-         per-block allocation is back"
-    );
-    assert!(out.iter().all(|&x| x == 1.0));
 }

@@ -135,3 +135,59 @@ fn process_level_accounting_sees_dense_blowup() {
     assert!(block >= atomic, "block {block} !>= atomic {atomic}");
     assert_eq!(atomic, 0);
 }
+
+#[test]
+fn concurrent_reducers_report_their_solo_memory_overhead() {
+    // `memory_overhead` is each reducer's own accounting, not a reading
+    // of process-wide heap counters: two reducers running at the same
+    // time on two threads must each report exactly their solo value.
+    struct Scatter {
+        n: usize,
+    }
+    impl Kernel<f64> for Scatter {
+        fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
+            view.apply((i * 7919) % self.n, 1.0);
+        }
+    }
+    let n = 1 << 15;
+    let overhead = |strategy: Strategy| {
+        let pool = ThreadPool::new(2);
+        let mut out = vec![0.0f64; n];
+        reduce_strategy::<f64, Sum, _>(
+            strategy,
+            &pool,
+            &mut out,
+            0..2 * n,
+            Schedule::default(),
+            &Scatter { n },
+        )
+        .memory_overhead
+    };
+    for strategy in [
+        Strategy::Dense,
+        Strategy::BlockPrivate { block_size: 256 },
+        Strategy::Keeper,
+        Strategy::Segmented { bucket_bits: 8 },
+    ] {
+        let solo = overhead(strategy);
+        assert!(solo > 0, "{}: no overhead to compare", strategy.label());
+        // The barrier lines the two threads' regions up round by round.
+        let start = std::sync::Barrier::new(2);
+        let rounds = || {
+            (0..4)
+                .map(|_| {
+                    start.wait();
+                    overhead(strategy)
+                })
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(rounds);
+            let b = s.spawn(rounds);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for mem in a.into_iter().chain(b) {
+            assert_eq!(mem, solo, "{}: concurrent vs solo", strategy.label());
+        }
+    }
+}

@@ -1,74 +1,38 @@
-//! Region reuse must actually stop allocating: a PageRank-style loop that
-//! drives a [`ReusableReducer`] region after region may not allocate new
-//! privatization scratch once warm. Verified with the `memtrack` counting
-//! allocator — the same instrument the benches use for the paper's memory
-//! overhead measurements — by counting heap allocations per region.
+//! Region reuse must actually stop allocating, and must not change
+//! results: a PageRank-style loop that drives one [`RegionExecutor`]
+//! region after region may not allocate new privatization scratch once
+//! warm, and produces the same ranks as fresh reducers. Allocations are
+//! counted with the `memtrack` counting allocator — the same instrument
+//! the benches use for the paper's memory overhead measurements.
+//!
+//! `memtrack`'s counters are process-wide, so every test in this file
+//! holds [`SERIAL`]: no sibling test allocates inside a counting window.
 
+mod common;
+
+use common::{build_graph, run_regions_reused, PushKernel};
 use ompsim::{Schedule, ThreadPool};
-use spray::{reduce_strategy, Kernel, ReducerView, ReusableReducer, Strategy, Sum};
+use spray::{reduce_strategy, RegionExecutor, Strategy, Sum};
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: memtrack::CountingAlloc = memtrack::CountingAlloc;
 
-/// Push-style PageRank step: iteration `u` scatters `rank[u] / deg(u)`
-/// to each out-neighbor of `u`. Borrows everything; applying it never
-/// allocates.
-struct PushKernel<'a> {
-    offsets: &'a [usize],
-    targets: &'a [usize],
-    ranks: &'a [f64],
+/// Serializes this file's tests (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-impl Kernel<f64> for PushKernel<'_> {
-    fn item<V: ReducerView<f64>>(&self, view: &mut V, u: usize) {
-        let row = self.offsets[u]..self.offsets[u + 1];
-        let deg = row.len().max(1) as f64;
-        let share = self.ranks[u] / deg;
-        for &v in &self.targets[row] {
-            view.apply(v, share);
-        }
-    }
-}
-
-/// Deterministic synthetic graph: ring edges plus a few long-range hops,
-/// so updates hit both the streaming and the scattered block paths.
-fn build_graph(n: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets = Vec::new();
-    offsets.push(0);
-    for u in 0..n {
-        targets.push((u + 1) % n);
-        targets.push((u + n - 1) % n);
-        targets.push((u * 7919 + 13) % n);
-        offsets.push(targets.len());
-    }
-    (offsets, targets)
-}
-
-fn run_regions_reused(
-    pool: &ThreadPool,
-    reducer: &mut ReusableReducer<f64, Sum>,
-    offsets: &[usize],
-    targets: &[usize],
-    ranks: &mut Vec<f64>,
-    next: &mut Vec<f64>,
-    regions: usize,
-) {
-    let n = ranks.len();
-    for _ in 0..regions {
-        next.iter_mut().for_each(|x| *x = 0.0);
-        let kernel = PushKernel {
-            offsets,
-            targets,
-            ranks,
-        };
-        reducer.run(pool, next, 0..n, Schedule::default(), &kernel);
-        std::mem::swap(ranks, next);
-    }
-}
-
+/// Region reuse must actually stop allocating: a PageRank-style loop
+/// that drives a [`RegionExecutor`] region after region may not allocate
+/// new privatization scratch once warm.
 #[test]
 fn warm_pagerank_regions_do_not_allocate_scratch() {
+    let _serial = serial();
     let n = 1 << 13;
     let block = 64;
     let (offsets, targets) = build_graph(n);
@@ -81,7 +45,7 @@ fn warm_pagerank_regions_do_not_allocate_scratch() {
         Strategy::BlockLock { block_size: block },
         Strategy::BlockCas { block_size: block },
     ] {
-        let mut reducer = ReusableReducer::<f64, Sum>::new(strategy);
+        let mut reducer = RegionExecutor::<f64, Sum>::new(strategy);
 
         // Warm-up: the first regions materialize status tables and private
         // block copies; `finish` retains them for the next region.
@@ -152,6 +116,7 @@ fn warm_pagerank_regions_do_not_allocate_scratch() {
 
 #[test]
 fn reused_pagerank_matches_fresh_run() {
+    let _serial = serial();
     // Numerical cross-check for the loop above: the reused reducer's ranks
     // after k regions equal a fresh-reducer run's ranks after k regions.
     let n = 1 << 10;
@@ -162,7 +127,7 @@ fn reused_pagerank_matches_fresh_run() {
 
     let mut ranks_reused = vec![1.0 / n as f64; n];
     let mut next = vec![0.0f64; n];
-    let mut reducer = ReusableReducer::<f64, Sum>::new(strategy);
+    let mut reducer = RegionExecutor::<f64, Sum>::new(strategy);
     run_regions_reused(
         &pool,
         &mut reducer,

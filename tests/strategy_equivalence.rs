@@ -7,7 +7,7 @@ use ompsim::{Schedule, ThreadPool};
 use proptest::prelude::*;
 use spray::{
     reduce_strategy, DeltaBatch, Kernel, Max, Min, PlanBudget, Prod, ReduceOp, ReducerView,
-    RegionExecutor, ReusableReducer, Strategy, Sum,
+    RegionExecutor, Strategy, Sum,
 };
 
 /// An explicit update stream: iteration i performs updates[i].
@@ -233,7 +233,7 @@ proptest! {
         }
     }
 
-    /// A [`ReusableReducer`] carries privatization scratch from one region
+    /// A [`RegionExecutor`] carries privatization scratch from one region
     /// to the next; every region must still produce exactly what a fresh
     /// sequential loop over that region's updates produces.
     #[test]
@@ -254,7 +254,7 @@ proptest! {
         };
         let pool = ThreadPool::new(threads);
         for strategy in strategies(block) {
-            let mut reducer = ReusableReducer::<i64, Sum>::new(strategy);
+            let mut reducer = RegionExecutor::<i64, Sum>::new(strategy);
             for region in 0..n_regions {
                 let updates: Vec<Vec<(usize, i64)>> = (0..n_iters)
                     .map(|_| {

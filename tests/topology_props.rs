@@ -15,15 +15,28 @@
 //! * **First-touch isolation.** Per-node [`spray::ArenaPool`]s must
 //!   never alias or exchange slabs across nodes: a slab released on one
 //!   node's pool is recycled by that pool only, and a sibling pool
-//!   always allocates fresh memory.
+//!   always allocates fresh memory — verified with the `memtrack`
+//!   counting allocator.
+//!
+//! `memtrack`'s counters are process-wide, so every test in this file
+//! holds [`SERIAL`]: no sibling test allocates inside a counting window.
 
 use ompsim::{Schedule, ThreadPool, Topology};
 use proptest::prelude::*;
 use spray::{reduce_strategy, ArenaPool, BlockArena, Kernel, ReducerView, Strategy, Sum};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: memtrack::CountingAlloc = memtrack::CountingAlloc;
+
+/// Serializes this file's tests (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -55,6 +68,7 @@ impl Kernel<i64> for ScatterKernel {
 /// Runs every strategy on the flat topology and on `topo`, requiring
 /// both bit-identical to the sequential loop (and hence to each other).
 fn check_sharded_matches_flat(len: usize, threads: usize, topo: Topology, block: usize, seed: u64) {
+    let _serial = serial();
     let iters = 150usize;
     let kernel = ScatterKernel { n: len, seed };
 
@@ -147,6 +161,7 @@ fn zero_length_shards_are_inert() {
 /// very same slab without touching the heap for slab storage.
 #[test]
 fn per_node_pools_never_alias_slabs() {
+    let _serial = serial();
     let pool_a = Arc::new(ArenaPool::new());
     let pool_b = Arc::new(ArenaPool::new());
     let block_elems = 1024usize;
